@@ -32,7 +32,7 @@ from .nsring import (
     nef_threshold,
     positivity_flags,
 )
-from .quadpoints import IsotropyKind, QuadraticForm, isotropic_vector
+from .quadpoints import IsotropyKind, QuadraticForm, SearchExhausted, isotropic_vector
 
 
 class InputError(ValueError):
@@ -584,11 +584,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (ValueError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc!r}", file=sys.stderr)
         return 2
 
 

@@ -2,10 +2,11 @@
 
 Everything in this package is computed over the rationals with no rounding;
 ``fractions.Fraction`` is the scalar type (always reduced, positive denominator).
+The lattice enumerators share one lazy depth-first walk in (height, spiral-lex)
+order, whose cost grows with the vectors consumed rather than with the rank.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -456,79 +457,77 @@ def spiral_key(v: Sequence[int]):
     return tuple((abs(int(x)), 0 if x >= 0 else 1) for x in v)
 
 
-def _spiral_range(h: int) -> list[int]:
-    out = [0]
-    for k in range(1, h + 1):
-        out.extend((k, -k))
-    return out
+def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None) -> Iterator[tuple[int, ...]]:
+    """Vectors x != 0 in Z^n with rows.x = 0, lazily, by (height, spiral-lex).
 
+    For each height h, coordinates are fixed in index order trying 0, 1, -1,
+    ..., h, -h.  ``rows`` are integer and in echelon form from the right:
+    each row's last nonzero column is zero in the other rows, so it is solved
+    exactly once the walk reaches it.  A branch ends when that value is not
+    an integer of height <= h, or when a row's partial sum exceeds h times
+    the absolute sum of its remaining coefficients.  With ``canonical`` only
+    primitive vectors with a positive leading entry come out; with a single
+    free column that is one vector, and the walk ends after it.
+    """
+    pivot_row: list[int | None] = [None] * n
+    for r, row in enumerate(rows):
+        pivot_row[max(j for j, a in enumerate(row) if a)] = r
+    free = pivot_row.count(None)
+    if free == 0:
+        return
+    room = [[sum(abs(a) for a in row[c + 1:]) for row in rows] for c in range(n)]
+    x = [0] * n
 
-def iter_integer_vectors(n: int, max_height: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Nonzero integer vectors ordered by (height, spiral-lex)."""
+    def extend(c: int, sums: list[int], top: int) -> Iterator[tuple[int, ...]]:
+        if c == n:
+            if top == h and (not canonical or math.gcd(*x) == 1):
+                yield tuple(x)
+            return
+        r = pivot_row[c]
+        if r is None:
+            values = spiral
+        else:
+            q, rem = divmod(-sums[r], rows[r][c])
+            if rem or abs(q) > h:
+                return
+            values = [q]
+        if canonical and not top:
+            values = [v for v in values if v >= 0]
+        if c == n - 1 and top < h:
+            values = [v for v in values if abs(v) == h]
+        for v in values:
+            nxt = [s + row[c] * v for s, row in zip(sums, rows)]
+            if any(abs(s) > h * b for s, b in zip(nxt, room[c])):
+                continue
+            x[c] = v
+            yield from extend(c + 1, nxt, max(top, abs(v)))
+
     h = 1
     while max_height is None or h <= max_height:
-        rng = _spiral_range(h)
-        for v in itertools.product(rng, repeat=n):
-            if max(abs(x) for x in v) == h:
-                yield v
+        spiral = [0] + [s * k for k in range(1, h + 1) for s in (1, -1)]
+        for v in extend(0, [0] * len(rows), 0):
+            yield v
+            if canonical and free == 1:
+                return
         h += 1
 
 
+def iter_integer_vectors(n: int, max_height: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Nonzero integer vectors ordered by (height, spiral-lex), lazily."""
+    return _walk(n, [], False, max_height)
+
+
 def iter_primitive_vectors(n: int, max_height: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Canonical primitive vectors (one per projective point), same order."""
-    for v in iter_integer_vectors(n, max_height):
-        nz = next((x for x in v if x), None)
-        if nz is None or nz < 0:
-            continue
-        if math.gcd(*v) != 1:
-            continue
-        yield v
+    """Canonical primitive vectors (one per projective point), same order; n = 1 gives only (1,)."""
+    return _walk(n, [], True, max_height)
 
 
 def iter_kernel_primitives(rows: Sequence[Sequence], max_height: int | None = None) -> Iterator[tuple[int, ...]]:
     """Canonical primitive integer vectors of ker(rows), by (height, spiral-lex).
 
-    Free coordinates are enumerated in spiral shells; since the primitive
-    representative of a kernel vector is at least as tall as its free part,
-    buffering by true height and flushing one shell at a time yields the
-    global order without missing vectors.
+    Lazy: the cost grows with the vectors consumed, not with the rank.  A
+    kernel that is a line yields its one vector and ends.
     """
-    m, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [j for j in range(ncols) if j not in pivots]
-    if not free:
-        return
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][j]
-        basis.append(v)
-    buffered: dict[int, list[tuple[int, ...]]] = {}
-    h = 1
-    while max_height is None or h <= max_height:
-        rng = _spiral_range(h)
-        for f in itertools.product(rng, repeat=len(free)):
-            if max(abs(x) for x in f) != h:
-                continue
-            nz = next((x for x in f if x), None)
-            if nz is None or nz < 0 or math.gcd(*f) != 1:
-                continue
-            x = [Fraction(0)] * ncols
-            for coef, bv in zip(f, basis):
-                if coef:
-                    for i in range(ncols):
-                        x[i] += coef * bv[i]
-            xp = canonical_vector(x)
-            hx = height(xp)
-            if max_height is not None and hx > max_height:
-                continue
-            buffered.setdefault(hx, []).append(xp)
-        if h in buffered:
-            for xp in sorted(buffered.pop(h), key=spiral_key):
-                yield xp
-        h += 1
-    for hx in sorted(buffered):
-        for xp in sorted(buffered[hx], key=spiral_key):
-            yield xp
+    m, pivots = rref([row[::-1] for row in rows])
+    echelon = [list(primitive_vector(row[::-1])) for row in m[: len(pivots)]]
+    return _walk(len(rows[0]), echelon, True, max_height)

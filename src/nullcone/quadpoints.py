@@ -678,16 +678,20 @@ def _solve_squarefree_diagonal(s: list[int], height_bound: int) -> tuple[int, ..
         a_pair = (s[0], s[1])
         rest = s[2:]
         bound_b = 4
+        table_bound = None
         while bound_b <= 64:
             bound_a = min(height_bound, bound_b * bound_b * 4, 512)
-            table: dict[int, tuple[int, int]] = {}
-            for x in range(0, bound_a + 1):
-                for y in range(-bound_a, bound_a + 1):
-                    if x == 0 and y <= 0:
-                        continue
-                    val = a_pair[0] * x * x + a_pair[1] * y * y
-                    if val != 0:
-                        table.setdefault(val, (x, y))
+            # bound_a stops growing at its cap; the table depends on it alone
+            if bound_a != table_bound:
+                table_bound = bound_a
+                table: dict[int, tuple[int, int]] = {}
+                for x in range(0, bound_a + 1):
+                    for y in range(-bound_a, bound_a + 1):
+                        if x == 0 and y <= 0:
+                            continue
+                        val = a_pair[0] * x * x + a_pair[1] * y * y
+                        if val != 0:
+                            table.setdefault(val, (x, y))
             rng = range(-bound_b, bound_b + 1)
             for tail in itertools.product(rng, repeat=len(rest)):
                 if all(t == 0 for t in tail):

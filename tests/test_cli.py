@@ -337,6 +337,27 @@ def test_chase_no_witness(capsys):
     assert "visited:" in out
 
 
+@pytest.mark.parametrize("name", ["b2_2_null_rational", "b2_2_double_root"])
+def test_chase_ends_when_the_only_tangent_direction_is_the_point(name, capsys):
+    assert main(["chase", "--input", fixture_path(name), "--divisor", "D"]) == 0
+    assert "witness: (none)" in capsys.readouterr().out
+
+
+def test_qpoint_search_exhausted_is_an_error(capsys):
+    assert main(["qpoint", "--form", "2,-263,79426,541939,-20625983",
+                 "--height-bound", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: no isotropic vector found")
+
+
+def test_internal_assertion_is_an_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("identity failed")
+
+    monkeypatch.setattr("nullcone.cli.isotropic_vector", broken)
+    assert main(["qpoint", "--form", "1,2,-3"]) == 2
+    assert "error: internal check failed" in capsys.readouterr().err
+
+
 def test_thirdpoint_by_name_and_coords(capsys):
     assert main(["thirdpoint", "--input", fixture_path("b3_smooth_tangent"),
                  "--p1", "D", "--p2=-5,4,1"]) == 0

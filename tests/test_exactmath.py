@@ -1,8 +1,11 @@
 """Exact arithmetic foundations: polynomials, roots, lattice enumeration."""
 
 from fractions import Fraction
+import functools
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -294,14 +297,49 @@ def test_iter_kernel_primitives_order_and_membership():
     assert hs == sorted(hs)
 
 
+@functools.cache
+def _box(n, max_height):
+    """The nonzero integer vectors of height <= max_height, by (height, spiral-lex)."""
+    box = itertools.product(range(-max_height, max_height + 1), repeat=n)
+    return tuple(sorted((v for v in box if any(v)), key=lambda v: (height(v), spiral_key(v))))
+
+
+def _primitive_box(n, max_height):
+    return [v for v in _box(n, max_height) if next(x for x in v if x) > 0 and math.gcd(*v) == 1]
+
+
+def test_iter_integer_and_primitive_vectors_vs_bruteforce():
+    for n in range(1, 7):
+        h = 4 if n <= 4 else 3
+        assert list(iter_integer_vectors(n, max_height=h)) == list(_box(n, h))
+        assert list(iter_primitive_vectors(n, max_height=h)) == _primitive_box(n, h)
+
+
 def test_iter_kernel_primitives_exhaustive_vs_bruteforce():
-    rows = [[frac(1), frac(2), frac(-3)]]
-    got = set(iter_kernel_primitives(rows, max_height=6))
-    brute = set()
-    for v in iter_primitive_vectors(3, max_height=6):
-        if vec_dot(v, (1, 2, -3)) == 0:
-            brute.add(v)
-    assert got == brute
+    rng = random.Random(20111)
+    for n in range(2, 7):
+        h = 4 if n <= 4 else 3
+        box = _primitive_box(n, h)
+        for _ in range(8):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            brute = [v for v in box if all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)]
+            assert list(iter_kernel_primitives(rows, max_height=h)) == brute, rows
+
+
+def test_one_dimensional_lattices_end_after_their_vector():
+    assert list(iter_kernel_primitives([[1, -1]])) == [(1, 1)]
+    assert list(iter_kernel_primitives([[0, 0, 3], [2, -4, 0]])) == [(2, 1, 0)]
+    assert list(iter_primitive_vectors(1)) == [(1,)]
+
+
+def test_kernel_enumeration_is_lazy_at_high_rank():
+    rng = random.Random(20)
+    row = [rng.randint(-20, 20) for _ in range(20)]
+    start = time.perf_counter()
+    got = list(itertools.islice(iter_kernel_primitives([row]), 500))
+    elapsed = time.perf_counter() - start
+    assert len(got) == 500 and all(vec_dot(row, v) == 0 for v in got)
+    assert elapsed < 2.0, f"first 500 directions took {elapsed:.3f}s"
 
 
 def test_iter_kernel_primitives_trivial_kernel():
