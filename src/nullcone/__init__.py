@@ -42,16 +42,13 @@ from .exactmath import (
     exact_divide,
     is_perfect_square,
     kernel_basis,
-    poly_eval,
     primitive_vector,
     rational_roots,
-    rational_roots_cubic,
 )
 from .nsring import (
     Divisor,
     IntersectionForm,
     LinearClass,
-    c2_pair,
     nef_threshold,
     positivity_flags,
     validate_input,
@@ -94,7 +91,6 @@ __all__ = [
     "ResidualPoint",
     "SearchExhausted",
     "SingularPointSearch",
-    "c2_pair",
     "canonical_vector",
     "certify",
     "chase",
@@ -111,11 +107,9 @@ __all__ = [
     "isotropic_vector",
     "kernel_basis",
     "nef_threshold",
-    "poly_eval",
     "positivity_flags",
     "primitive_vector",
     "rational_roots",
-    "rational_roots_cubic",
     "replay",
     "replay_check",
     "residual_on_tangent",

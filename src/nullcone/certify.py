@@ -20,16 +20,14 @@ from .exactmath import (
     iter_primitive_vectors,
     primitive_vector,
     spiral_key,
-    vec,
     vec_dot,
 )
-from .nsring import Divisor, IntersectionForm, LinearClass, validate_input
+from .nsring import Divisor, IntersectionForm, LinearClass, _as_divisor, validate_input
 from .quadpoints import (
     InsufficientPoints,
     IsotropyKind,
     QuadraticForm,
     SearchExhausted,
-    is_isotropic,
     isotropic_vector,
     sample_points,
 )
@@ -108,12 +106,6 @@ class Certificate:
     warnings: list[str] = field(default_factory=list)
     assumptions: Assumptions = field(default_factory=Assumptions)
     caveats: list[str] = field(default_factory=list)
-
-
-def _as_divisor(x, name=None) -> Divisor:
-    if isinstance(x, Divisor):
-        return x if x.name == name or name is None else Divisor(x.coords, name)
-    return Divisor(vec(x), name)
 
 
 class _Pipeline:
@@ -224,7 +216,11 @@ class _Pipeline:
         form, c2 = self.form, self.c2
         lin = fac.linears[0]
         quad = fac.quadric
-        verdict = is_isotropic(quad)
+        try:
+            verdict = isotropic_vector(quad, self.opts.max_height)
+        except SearchExhausted as exc:
+            self.warnings.append(f"constructive point search gave out: {exc}")
+            return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         if verdict.kind is IsotropyKind.DEGENERATE:
             for r in verdict.radical_basis:
                 if form.numerical_dimension(r) == 1:
@@ -252,15 +248,14 @@ class _Pipeline:
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         try:
-            base = isotropic_vector(quad, self.opts.max_height)
             samples = sample_points(
                 quad,
-                base.witness,
+                verdict.witness,
                 self.opts.samples,
                 avoid=[lin, tuple(c2.coords)],
                 max_directions=self.opts.max_directions,
             )
-        except (SearchExhausted, InsufficientPoints) as exc:
+        except InsufficientPoints as exc:
             self.warnings.append(f"constructive point search gave out: {exc}")
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         best = min(samples, key=lambda s: (height(s), spiral_key(canonical_vector(s))))

@@ -23,7 +23,7 @@ from .certify import (
     certify,
 )
 from .cubicchase import chase, third_point_on_line
-from .cubicfactor import FactorKind, expand_cubic, factor_over_Q
+from .cubicfactor import expand_cubic, factor_over_Q
 from .exactmath import frac
 from .nsring import (
     Divisor,

@@ -24,14 +24,9 @@ from .exactmath import (
     rational_roots,
     rref,
     spiral_key,
-    vec,
 )
-from .nsring import Divisor, IntersectionForm, LinearClass
+from .nsring import Divisor, IntersectionForm, LinearClass, _as_divisor
 from .quadpoints import IsotropyKind, QuadraticForm, isotropic_vector, radical
-
-
-def _as_divisor(d) -> Divisor:
-    return d if isinstance(d, Divisor) else Divisor(vec(d))
 
 
 def third_point_on_line(form: IntersectionForm, p1, p2) -> Divisor | None:
@@ -258,15 +253,10 @@ class SingularPointSearch:
 
 
 def _gradient_quadrics(form: IntersectionForm) -> list[QuadraticForm]:
-    n = form.rank
-    basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    n, t = form.rank, form.symmetric
     out = []
     for i in range(n):
-        gram = tuple(
-            tuple(form.triple(basis[a], basis[b], basis[i]) for b in range(n))
-            for a in range(n)
-        )
-        q = QuadraticForm(gram)
+        q = QuadraticForm(tuple(tuple(t.get((a, b, i), 0) for b in range(n)) for a in range(n)))
         if not q.is_zero:
             out.append(q)
     return out

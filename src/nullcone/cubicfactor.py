@@ -20,7 +20,7 @@ from .exactmath import (
     iter_integer_vectors,
     kernel_basis,
     mat_inv,
-    rational_roots_cubic,
+    rational_roots,
     is_perfect_square,
     spiral_key,
 )
@@ -63,23 +63,13 @@ class Factorization:
 def expand_cubic(form: IntersectionForm) -> Poly:
     """The cubic polynomial T(x, x, x) of the trilinear form, expanded."""
     n = form.rank
-    terms: dict[tuple[int, ...], Fraction] = {}
-
-    def bump(expo: list[int], c: int):
-        key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + c
-
-    for (i, j, k), d in form.entries.items():
+    terms: dict[tuple[int, ...], int] = {}
+    for key, v in form.symmetric.items():
         e = [0] * n
-        e[i] += 1
-        e[j] += 1
-        e[k] += 1
-        if i == j == k:
-            bump(e, d)
-        elif i == j or j == k:
-            bump(e, 3 * d)
-        else:
-            bump(e, 6 * d)
+        for i in key:
+            e[i] += 1
+        expo = tuple(e)
+        terms[expo] = terms.get(expo, 0) + v
     return Poly(n, terms)
 
 
@@ -121,12 +111,12 @@ def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[int, ...] | None:
     for i in range(n):
         if i == p:
             continue
-        roots = sorted(set(rational_roots_cubic(
+        roots = sorted(set(rational_roots([
             a0,
             f.coeff(_exp_sq(n, p, i)),
             f.coeff(_exp_sq(n, i, p)),
             f.coeff(_exp_cube(n, i)),
-        )))
+        ])))
         if not roots:
             return None
         root_sets.append((i, roots))

@@ -183,11 +183,6 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def poly_eval(p: Poly, x: Sequence) -> Fraction:
-    """Exact evaluation of p at the rational point x."""
-    return p.evaluate(x)
-
-
 def _leading(p: Poly) -> tuple[Exponent, Fraction]:
     e = max(p.terms)
     return e, p.terms[e]
@@ -307,15 +302,6 @@ def rational_roots(coeffs: Sequence) -> list[Fraction]:
     return sorted(roots)
 
 
-def rational_roots_cubic(a, b, c, d) -> list[Fraction]:
-    """Rational roots (with multiplicity) of a*t^3 + b*t^2 + c*t + d.
-
-    Degenerate leading coefficients are fine; (0,0,0,0) is rejected.
-    Irrational roots are simply not reported.
-    """
-    return rational_roots([a, b, c, d])
-
-
 def is_perfect_square(q) -> Fraction | None:
     """The nonnegative square root of q when q is a rational square, else None."""
     q = frac(q)
@@ -334,15 +320,6 @@ def is_perfect_square(q) -> Fraction | None:
 
 def mat_identity(n: int) -> Mat:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if not a or not b or len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:

@@ -6,11 +6,13 @@ them.  All queries are exact.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactmath import Rat, Vec, canonical_vector, frac, primitive_vector, vec, vec_dot
+from .exactmath import Vec, canonical_vector, frac, primitive_vector, vec, vec_dot
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,13 @@ class Divisor:
         return iter(self.coords)
 
 
+def _as_divisor(x, name: str | None = None) -> Divisor:
+    """x as a Divisor, renamed to `name` when one is given."""
+    if isinstance(x, Divisor):
+        return x if name is None or x.name == name else Divisor(x.coords, name)
+    return Divisor(x, name)
+
+
 @dataclass(frozen=True)
 class LinearClass:
     """A linear functional on divisor classes (e.g. the second Chern class)."""
@@ -77,8 +86,9 @@ class LinearClass:
 class IntersectionForm:
     """Symmetric trilinear form with integer structure constants d_ijk.
 
-    Entries are stored once per sorted index triple i <= j <= k; evaluation
-    symmetrizes on the fly.
+    Entries are stored once per sorted index triple i <= j <= k; `symmetric`
+    repeats each value under every ordering of its triple, so evaluation is
+    one integer sum.
     """
 
     def __init__(self, rank: int, entries: Mapping[tuple[int, int, int], int]):
@@ -100,6 +110,11 @@ class IntersectionForm:
                 raise ValueError(f"conflicting values for intersection index {(i, j, k)}")
             table[(i, j, k)] = value
         self.entries = table
+        self.symmetric: dict[tuple[int, int, int], int] = {
+            perm: value
+            for key, value in table.items()
+            for perm in dict.fromkeys(itertools.permutations(key))
+        }
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "IntersectionForm":
@@ -111,25 +126,17 @@ class IntersectionForm:
             raise ValueError(f"divisor has {len(c)} coordinates, expected {self.rank}")
         return c
 
+    def _scaled(self, d) -> tuple[list[int], int]:
+        """Integer coordinates and their common denominator."""
+        c = self._coords(d)
+        den = math.lcm(*(q.denominator for q in c))
+        return [q.numerator * (den // q.denominator) for q in c], den
+
     def triple(self, a, b, c) -> Fraction:
         """The full trilinear evaluation T(a, b, c)."""
-        x, y, z = self._coords(a), self._coords(b), self._coords(c)
-        total = Fraction(0)
-        for (i, j, k), d in self.entries.items():
-            if i == j == k:
-                s = x[i] * y[i] * z[i]
-            elif i == j:
-                s = x[i] * y[i] * z[k] + x[i] * y[k] * z[i] + x[k] * y[i] * z[i]
-            elif j == k:
-                s = x[i] * y[j] * z[j] + x[j] * y[i] * z[j] + x[j] * y[j] * z[i]
-            else:
-                s = (
-                    x[i] * (y[j] * z[k] + y[k] * z[j])
-                    + x[j] * (y[i] * z[k] + y[k] * z[i])
-                    + x[k] * (y[i] * z[j] + y[j] * z[i])
-                )
-            total += d * s
-        return total
+        (x, dx), (y, dy), (z, dz) = self._scaled(a), self._scaled(b), self._scaled(c)
+        total = sum(v * x[i] * y[j] * z[k] for (i, j, k), v in self.symmetric.items())
+        return Fraction(total, dx * dy * dz)
 
     def cube(self, d) -> Fraction:
         return self.triple(d, d, d)
@@ -152,11 +159,6 @@ class IntersectionForm:
                 if self.triple(c, basis[i], basis[j]) != 0:
                     return 1
         return 0
-
-
-def c2_pair(c2: LinearClass, d: Divisor | Sequence) -> Fraction:
-    """The pairing c2 . d."""
-    return c2.pair(d)
 
 
 def nef_threshold(form: IntersectionForm, h: Divisor, d: Divisor) -> Fraction:

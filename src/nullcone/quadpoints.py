@@ -454,18 +454,24 @@ def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[Fraction], list[in
     return p, diag, s_parts, mults
 
 
-def is_isotropic(q: QuadraticForm) -> IsotropyVerdict:
-    """Decide rational isotropy by local conditions, without a witness."""
+def _decide_isotropy(q: QuadraticForm) -> tuple[IsotropyVerdict, tuple | None]:
+    """The witness-free verdict, with the `_squarefree_diagonal` it was read
+    from (None for a degenerate form)."""
     if q.is_zero:
         raise ValueError("the zero form is not a valid quadric")
     rad = radical(q)
     if rad:
-        return IsotropyVerdict(IsotropyKind.DEGENERATE, radical_basis=tuple(rad))
-    _, _, s_parts, _ = _squarefree_diagonal(q)
-    obstruction = _local_obstruction(s_parts)
+        return IsotropyVerdict(IsotropyKind.DEGENERATE, radical_basis=tuple(rad)), None
+    split = _squarefree_diagonal(q)
+    obstruction = _local_obstruction(split[2])
     if obstruction is None:
-        return IsotropyVerdict(IsotropyKind.ISOTROPIC)
-    return IsotropyVerdict(IsotropyKind.ANISOTROPIC, obstruction=obstruction)
+        return IsotropyVerdict(IsotropyKind.ISOTROPIC), split
+    return IsotropyVerdict(IsotropyKind.ANISOTROPIC, obstruction=obstruction), split
+
+
+def is_isotropic(q: QuadraticForm) -> IsotropyVerdict:
+    """Decide rational isotropy by local conditions, without a witness."""
+    return _decide_isotropy(q)[0]
 
 
 # -- constructive zeros ------------------------------------------------------
@@ -560,10 +566,6 @@ def _lagrange(a: int, b: int) -> tuple[int, int, int]:
     w = b_core * sq * z
     g = math.gcd(u, v, w)
     return (u // g, v // g, w // g)
-
-
-def _ternary_solvable(diag: Sequence[int]) -> bool:
-    return _local_obstruction(list(diag)) is None
 
 
 #: Coefficient size past which bounded searches on a diagonal form are futile:
@@ -722,10 +724,10 @@ def isotropic_vector(q: QuadraticForm, height_bound: int = 10**6) -> IsotropyVer
     enormously) a direct height-ordered search on the original form takes
     over, since small zeros of the input need not be small in the skew basis.
     """
-    base = is_isotropic(q)
+    base, split = _decide_isotropy(q)
     if base.kind is not IsotropyKind.ISOTROPIC:
         return base
-    p, _, s_parts, mults = _squarefree_diagonal(q)
+    p, _, s_parts, mults = split
     try:
         w = _solve_squarefree_diagonal(list(s_parts), height_bound)
     except SearchExhausted:

@@ -13,7 +13,7 @@ from nullcone.cubicfactor import (
     factor_quadratic_form,
     is_perfect_cube_linear,
 )
-from nullcone.exactmath import Poly, frac, poly_eval
+from nullcone.exactmath import Poly, frac
 from nullcone.nsring import IntersectionForm
 from nullcone.quadpoints import QuadraticForm
 
@@ -37,7 +37,7 @@ def test_expand_cubic_matches_cube_random():
         assert poly.is_homogeneous(3)
         for _ in range(5):
             x = nonzero_vector(rng, n, 4)
-            assert poly_eval(poly, x) == form.cube(x)
+            assert poly.evaluate(x) == form.cube(x)
 
 
 def test_expand_cubic_multiplicity_rule():

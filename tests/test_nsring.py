@@ -1,6 +1,7 @@
 """Intersection lattice: trilinear form, divisors, numerical dimension."""
 
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from nullcone.nsring import (
     Divisor,
     IntersectionForm,
     LinearClass,
-    c2_pair,
     nef_threshold,
     positivity_flags,
     validate_input,
@@ -43,7 +43,6 @@ def test_linear_class_pair():
     lc = LinearClass((1, -1))
     assert lc.pair(Divisor((1, 2))) == -1
     assert lc.pair((1, 2)) == -1
-    assert c2_pair(lc, (1, 2)) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +81,40 @@ def test_diagonal_constructor():
 # trilinear evaluation
 
 
+def _brute_triple(form, a, b, c):
+    """T(a, b, c) as a sum over every ordered index triple, each reading the
+    entry stored under its sorted key."""
+    return sum(
+        (
+            form.entries.get(tuple(sorted(key)), 0) * Fraction(a[key[0]]) * b[key[1]] * c[key[2]]
+            for key in itertools.product(range(form.rank), repeat=3)
+        ),
+        Fraction(0),
+    )
+
+
+def _rational_vector(rng, n):
+    """Nonzero vector with numerators in [-4, 4] over mixed denominators."""
+    while True:
+        v = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(n))
+        if any(v):
+            return v
+
+
 def test_triple_symmetry_random():
     rng = random.Random(7)
-    for _ in range(20):
+    for trial in range(40):
         n = rng.randint(2, 4)
         form = random_form(rng, n, 5)
-        a = nonzero_vector(rng, n, 4)
-        b = nonzero_vector(rng, n, 4)
-        c = nonzero_vector(rng, n, 4)
+        if trial < 20:
+            a, b, c = (nonzero_vector(rng, n, 4) for _ in range(3))
+        else:
+            a, b, c = (_rational_vector(rng, n) for _ in range(3))
         v = form.triple(a, b, c)
+        assert v == _brute_triple(form, a, b, c)
         assert v == form.triple(b, a, c) == form.triple(c, b, a)
         assert v == form.triple(a, c, b)
+        assert v == form.triple(Divisor(a), b, c)
 
 
 def test_triple_multilinearity_random():
