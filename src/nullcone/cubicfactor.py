@@ -18,7 +18,6 @@ from .exactmath import (
     exact_divide,
     height,
     iter_integer_vectors,
-    kernel_basis,
     mat_inv,
     rational_roots,
     is_perfect_square,
@@ -86,25 +85,14 @@ def _exp_sq(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _divides(f: Poly, coords) -> bool:
-    """Quick kernel-point screen, then exact division."""
-    basis = kernel_basis([list(coords)])
-    for b in basis:
-        if f.evaluate(b) != 0:
-            return False
-    # points mixing every kernel direction catch candidates that only vanish
-    # on the coordinate planes used to construct them
-    for ws in ([1] * len(basis), list(range(1, len(basis) + 1))):
-        mixed = [
-            sum(w * Fraction(b[i]) for w, b in zip(ws, basis))
-            for i in range(f.nvars)
-        ]
-        if f.evaluate(mixed) != 0:
-            return False
-    return exact_divide(f, Poly.linear(coords)) is not None
+def _divided(f: Poly, cand: tuple[int, ...]) -> tuple[tuple[int, ...], Poly] | None:
+    """(cand, f / cand) when the linear form cand divides f, else None."""
+    cof = exact_divide(f, Poly.linear(cand))
+    return None if cof is None else (cand, cof)
 
 
-def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[int, ...] | None:
+def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[tuple[int, ...], Poly] | None:
+    """A linear factor with a nonzero x_p coefficient and its cofactor, or None."""
     n = f.nvars
     a0 = f.coeff(_exp_cube(n, p))
     root_sets: list[tuple[int, list[Fraction]]] = []
@@ -123,8 +111,7 @@ def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[int, ...] | None:
     if not root_sets:
         coords = [Fraction(0)] * n
         coords[p] = Fraction(1)
-        cand = canonical_vector(coords)
-        return cand if _divides(f, cand) else None
+        return _divided(f, canonical_vector(coords))
     # anchor on the first non-pivot variable and keep, for every other
     # variable, only the roots consistent with the anchor on the common
     # three-variable section; a divisor's coordinates always survive, and the
@@ -154,19 +141,20 @@ def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[int, ...] | None:
             coords[i1] = -t1
             for (i, _), t in zip(filtered, combo):
                 coords[i] = -t
-            cand = canonical_vector(coords)
-            if _divides(f, cand):
-                return cand
+            found = _divided(f, canonical_vector(coords))
+            if found is not None:
+                return found
     return None
 
 
-def _find_linear_factor(f: Poly, seed: int, _sheared: bool = False) -> tuple[int, ...] | None:
+def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | None:
+    """A canonical linear factor of f and its cofactor, or None."""
     n = f.nvars
     pivots = [i for i in range(n) if f.coeff(_exp_cube(n, i)) != 0]
     if pivots:
         return _linear_factor_with_pivot(f, pivots[seed % len(pivots)])
-    if _sheared:
-        raise AssertionError("shear failed to produce a cube coefficient")
+    # no pure cube: shear x_i -> x_i + c_i x_p at a point where f is nonzero,
+    # which makes x_p^3 the one pure cube of the sheared cubic
     occupied = [i for i in range(n) if any(e[i] for e in f.terms)]
     if not occupied:
         raise ValueError("cannot factor the zero cubic")
@@ -189,16 +177,15 @@ def _find_linear_factor(f: Poly, seed: int, _sheared: bool = False) -> tuple[int
             if c:
                 img = img + c * Poly.variable(n, p)
         images.append(img)
-    sheared = f.substitute(images)
-    lg = _find_linear_factor(sheared, seed, _sheared=True)
-    if lg is None:
+    found = _linear_factor_with_pivot(f.substitute(images), p)
+    if found is None:
         return None
-    w = [Fraction(c) for c in lg]
+    w = [Fraction(c) for c in found[0]]
     w[p] = w[p] - sum(w[i] * shift[others.index(i)] for i in others)
-    cand = canonical_vector(w)
-    if not _divides(f, cand):
+    found = _divided(f, canonical_vector(w))
+    if found is None:
         raise AssertionError("shear-mapped factor failed verification")
-    return cand
+    return found
 
 
 def _primitive_poly(p: Poly) -> tuple[Fraction, Poly]:
@@ -277,12 +264,10 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
         raise ValueError("cannot factor the zero cubic")
     if not f.is_homogeneous(3):
         raise ValueError("input must be a homogeneous cubic")
-    lin = _find_linear_factor(f, seed)
-    if lin is None:
+    found = _find_linear_factor(f, seed)
+    if found is None:
         return Factorization(FactorKind.IRREDUCIBLE, Fraction(1), (), None)
-    cof = exact_divide(f, Poly.linear(lin))
-    if cof is None:
-        raise AssertionError("linear factor does not divide after all")
+    lin, cof = found
     split = factor_quadratic_form(QuadraticForm.from_poly(cof))
     if split is None:
         scalar, prim = _primitive_poly(cof)
@@ -290,7 +275,8 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
             FactorKind.LINEAR_TIMES_QUADRIC, scalar, (lin,), QuadraticForm.from_poly(prim)
         )
     else:
-        l2, l3, _ = split
+        # f = lin * cof = scalar * lin * l2 * l3, in whichever order
+        l2, l3, scalar = split
         triple = [lin, l2, l3]
         distinct = sorted(set(triple), key=lambda v: (height(v), spiral_key(v)))
         if len(distinct) == 1:
@@ -302,11 +288,6 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
             kind, ordered = FactorKind.LINEAR_SQUARE_TIMES_LINEAR, (sq, sq, other)
         else:
             kind, ordered = FactorKind.THREE_LINEAR, tuple(distinct)
-        prod = Poly.constant(f.nvars, 1)
-        for l in ordered:
-            prod = prod * Poly.linear(l)
-        lead = max(prod.terms)
-        scalar = f.coeff(lead) / prod.coeff(lead)
         out = Factorization(kind, scalar, ordered, None)
     if out.reconstruct(f.nvars) != f:
         raise AssertionError("factorization failed re-expansion check")

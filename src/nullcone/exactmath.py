@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: sparse polynomials, linear algebra, lattice enumeration.
+"""Exact arithmetic: polynomials, integer factoring, linear algebra, lattice enumeration.
 
 Everything in this package is computed over the rationals with no rounding;
 ``fractions.Fraction`` is the scalar type (always reduced, positive denominator).
@@ -7,6 +7,7 @@ order, whose cost grows with the vectors consumed rather than with the rank.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -214,6 +215,77 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
 
 
 # ---------------------------------------------------------------------------
+# integer factoring
+
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with a fixed base set (deterministic far past 2^64)."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    if n % 2 == 0:
+        return 2
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        f = lambda v: (v * v + c) % n
+        while d == 1:
+            x = f(x)
+            y = f(f(y))
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return d
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        if p * p > n:
+            break
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _pollard_rho(m)
+        stack.extend((d, m // d))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # univariate rational roots
 
 
@@ -225,15 +297,10 @@ def _strip(coeffs: list[Fraction]) -> list[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """The positive divisors of n != 0, ascending, built from its factorization."""
+    out = [1]
+    for p, e in factorint(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
@@ -248,16 +315,11 @@ def _deflate(coeffs: list[Fraction], r: Fraction) -> list[Fraction]:
 
 
 def _one_rational_root(coeffs: list[Fraction]) -> Fraction | None:
-    """One rational root of the poly with the given descending coefficients."""
+    """One rational root of the poly with the given descending coefficients,
+    of degree 1 or at least 3 (`rational_roots` solves quadratics itself)."""
     deg = len(coeffs) - 1
     if deg == 1:
         return -coeffs[1] / coeffs[0]
-    if deg == 2:
-        a, b, c = coeffs
-        s = is_perfect_square(b * b - 4 * a * c)
-        if s is None:
-            return None
-        return (-b + s) / (2 * a)
     if coeffs[-1] == 0:
         return Fraction(0)
     den = math.lcm(*(c.denominator for c in coeffs))

@@ -141,24 +141,29 @@ class IntersectionForm:
     def cube(self, d) -> Fraction:
         return self.triple(d, d, d)
 
+    def _square(self, x: list[int]) -> list[int]:
+        """T(x, x, e_k) for every k, from integer coordinates x, in one pass."""
+        out = [0] * self.rank
+        for (i, j, k), v in self.symmetric.items():
+            out[k] += v * x[i] * x[j]
+        return out
+
     def square_class(self, d) -> LinearClass:
         """The linear functional T(d, d, -) in basis coordinates."""
-        basis = [[Fraction(int(i == j)) for j in range(self.rank)] for i in range(self.rank)]
-        return LinearClass(tuple(self.triple(d, d, e) for e in basis))
+        x, den = self._scaled(d)
+        return LinearClass(tuple(Fraction(t, den * den) for t in self._square(x)))
 
     def numerical_dimension(self, d) -> int:
         """nu(d) in {0,1,2,3}: largest power of d that is nonzero in the ring."""
-        c = self._coords(d)
-        if self.cube(c) != 0:
-            return 3
-        if not self.square_class(c).is_zero:
-            return 2
-        basis = [[Fraction(int(i == j)) for j in range(self.rank)] for i in range(self.rank)]
-        for i in range(self.rank):
-            for j in range(i, self.rank):
-                if self.triple(c, basis[i], basis[j]) != 0:
-                    return 1
-        return 0
+        x, _ = self._scaled(d)
+        sq = self._square(x)
+        if any(sq):
+            # cube(d) = T(d, d, -) . d, up to the positive factor den^3
+            return 3 if sum(t * c for t, c in zip(sq, x)) else 2
+        pairs: dict[tuple[int, int], int] = {}
+        for (i, j, k), v in self.symmetric.items():
+            pairs[j, k] = pairs.get((j, k), 0) + v * x[i]
+        return 1 if any(pairs.values()) else 0
 
 
 def nef_threshold(form: IntersectionForm, h: Divisor, d: Divisor) -> Fraction:

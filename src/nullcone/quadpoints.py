@@ -18,7 +18,9 @@ from .exactmath import (
     Mat,
     Poly,
     canonical_vector,
+    factorint,
     frac,
+    is_probable_prime,
     is_perfect_square,
     iter_primitive_vectors,
     kernel_basis,
@@ -39,83 +41,7 @@ class InsufficientPoints(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# integer utilities (factoring, square roots mod p)
-
-_SMALL_PRIMES: list[int] = []
-_sieve_limit = 1000
-_is_comp = bytearray(_sieve_limit)
-for _n in range(2, _sieve_limit):
-    if not _is_comp[_n]:
-        _SMALL_PRIMES.append(_n)
-        for _m in range(_n * _n, _sieve_limit, _n):
-            _is_comp[_m] = 1
-del _is_comp, _n
-
-
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed base set (deterministic far past 2^64)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    for c in itertools.count(1):
-        x = y = 2
-        d = 1
-        f = lambda v: (v * v + c) % n
-        while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        if p * p > n:
-            break
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    return out
-
+# integer utilities (squarefree parts, square roots mod p)
 
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n = s * t^2 with s squarefree (s carries the sign of n)."""

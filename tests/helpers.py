@@ -10,7 +10,19 @@ import itertools
 from fractions import Fraction
 
 from nullcone.exactmath import Poly, frac, mat_inv
-from nullcone.nsring import Divisor, IntersectionForm
+from nullcone.nsring import Divisor, IntersectionForm, LinearClass
+
+
+# (7x0 - 9x1 + 7x2) times a quadric: the candidate (1, 1, 1) passes the
+# three-variable section filter of the linear-factor search, yet
+# x0 + x1 + x2 does not divide it, so the search must go on to (7, -9, 7)
+SECTION_DECOY_CUBIC = Poly(3, {
+    e: Fraction(c)
+    for e, c in {
+        (3, 0, 0): -28, (2, 1, 0): 64, (2, 0, 1): -91, (1, 2, 0): 20, (1, 1, 1): 95,
+        (1, 0, 2): -63, (0, 3, 0): -72, (0, 2, 1): 74, (0, 1, 2): -14,
+    }.items()
+})
 
 
 def nonzero_vector(rng, n: int, hmax: int) -> tuple[int, ...]:
@@ -82,6 +94,21 @@ def plant_null_form(rng, n: int, hmax: int):
         assert form.cube(d) == 0
         if form.numerical_dimension(d) >= 2:
             return form, tuple(d)
+
+
+def annihilator_c2(rng, d, sq) -> LinearClass:
+    """A random c2 with c2 . d = 0 that is not proportional to sq = T(d, d, -):
+    a sum of random multiples of the rank-2 annihilators d_j e_i - d_i e_j, so
+    a planted null point is certified by the cubic and the tangent chase."""
+    n = len(d)
+    while True:
+        c2 = [0] * n
+        for i, j in itertools.combinations(range(n), 2):
+            r = rng.randint(-1, 1)
+            c2[i] += r * d[j]
+            c2[j] -= r * d[i]
+        if any(sq[i] * c2[j] != sq[j] * c2[i] for i, j in itertools.combinations(range(n), 2)):
+            return LinearClass(tuple(c2))
 
 
 def unimodular_matrix(rng, n: int, steps: int = 3):

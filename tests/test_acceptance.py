@@ -25,13 +25,12 @@ from nullcone.cubicchase import (
     third_point_on_line,
 )
 from nullcone.cubicfactor import FactorKind, factor_over_Q
-from nullcone.exactmath import canonical_vector, iter_kernel_primitives
+from nullcone.exactmath import canonical_vector, factorint, iter_kernel_primitives
 from nullcone.nsring import IntersectionForm, LinearClass, nef_threshold
 from nullcone.quadpoints import (
     IsotropyKind,
     QuadraticForm,
     diagonalize,
-    factorint,
     hilbert_symbol,
     is_isotropic,
     isotropic_vector,

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 from fractions import Fraction
-import itertools
 import random
 import time
 
@@ -33,7 +32,7 @@ from nullcone.cli import fixture_names, load_fixture, parse_input
 from nullcone.exactmath import canonical_vector
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
 
-from helpers import divisor_coords, plant_null_form
+from helpers import annihilator_c2, divisor_coords, plant_null_form
 
 EXPECTED = {
     "nefpsef_cube_positive": (Conclusion.CERTIFIED, RULE_NEFPSEF),
@@ -296,18 +295,7 @@ def test_witness_divisors_carry_names():
 def test_rank20_planted_null_form_certifies_under_a_second():
     rng = random.Random(20)
     form, d = plant_null_form(rng, 20, 4)
-    sq = form.square_class(d).coords
-    # c2 from D's annihilator, not proportional to T(D, D, -), so c2 . D = 0
-    # and the certificate has to come from the cubic and the tangent chase
-    while True:
-        c2 = [0] * 20
-        for i, j in itertools.combinations(range(20), 2):
-            r = rng.randint(-1, 1)
-            c2[i] += r * d[j]
-            c2[j] -= r * d[i]
-        if any(sq[i] * c2[j] != sq[j] * c2[i] for i, j in itertools.combinations(range(20), 2)):
-            break
-    c2 = LinearClass(tuple(c2))
+    c2 = annihilator_c2(rng, d, form.square_class(d).coords)
     start = time.perf_counter()
     cert = certify(form, c2, d)
     elapsed = time.perf_counter() - start

@@ -17,7 +17,13 @@ from nullcone.exactmath import Poly, frac
 from nullcone.nsring import IntersectionForm
 from nullcone.quadpoints import QuadraticForm
 
-from helpers import nonzero_vector, random_form, random_linear_poly, random_quadric_poly
+from helpers import (
+    SECTION_DECOY_CUBIC,
+    nonzero_vector,
+    random_form,
+    random_linear_poly,
+    random_quadric_poly,
+)
 
 
 def lin(coords):
@@ -129,13 +135,25 @@ def test_factor_rejects_bad_input():
 
 
 def test_factor_seed_invariant_result():
-    n = 4
-    f = lin([1, 0, -1, 2]) * lin([0, 1, 1, 0]) * lin([1, 1, 0, -1])
-    results = [factor_over_Q(f, seed=s) for s in range(6)]
-    for r in results:
-        assert r.kind is FactorKind.THREE_LINEAR
-        assert r.reconstruct(n) == f
-        assert r.linears == results[0].linears and r.scalar == results[0].scalar
+    x0, x1, x2 = (Poly.variable(3, i) for i in range(3))
+    cases = [
+        (lin([1, 0, -1, 2]) * lin([0, 1, 1, 0]) * lin([1, 1, 0, -1]), FactorKind.THREE_LINEAR),
+        # no pure cube: the search shears before it picks a pivot
+        (6 * x0 * x1 * x2, FactorKind.THREE_LINEAR),
+        # a linear form times an irreducible quadric, again with no pure cube
+        (x0 * (x1 * x1 + x1 * x2 + 2 * x2 * x2), FactorKind.LINEAR_TIMES_QUADRIC),
+        # (1, 1, 1) passes the section filter but not the division
+        (SECTION_DECOY_CUBIC, FactorKind.LINEAR_TIMES_QUADRIC),
+    ]
+    for f, kind in cases:
+        results = [factor_over_Q(f, seed=s) for s in range(6)]
+        for r in results:
+            assert r.kind is kind
+            assert r.reconstruct(f.nvars) == f
+            assert r == results[0]
+    assert factor_over_Q(6 * x0 * x1 * x2).linears == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    decoy = factor_over_Q(SECTION_DECOY_CUBIC)
+    assert decoy.linears == ((7, -9, 7),) and decoy.scalar == -1
 
 
 def test_factor_random_products_roundtrip():

@@ -30,7 +30,7 @@ from nullcone.exactmath import (
     vec_dot,
 )
 
-from helpers import random_linear_poly, random_quadric_poly
+from helpers import SECTION_DECOY_CUBIC, random_linear_poly, random_quadric_poly
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +119,9 @@ def test_exact_divide_detects_nondivisor():
     x1 = Poly.variable(2, 1)
     assert exact_divide(x0 * x0 + x1 * x1, x0 + x1) is None
     assert exact_divide(x0 * x1, x0 + x1) is None
+    # x0 + x1 + x2 passes the linear-factor search's section filter on this
+    # cubic, yet does not divide it
+    assert exact_divide(SECTION_DECOY_CUBIC, Poly.linear([1, 1, 1])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,17 @@ def test_rational_roots_random_planted():
             coeffs = _mul_desc(coeffs, [Fraction(1), -r])
         roots = rational_roots(coeffs)
         assert sorted(roots) == sorted(planted)
+
+
+def test_rational_roots_large_constant_term_is_fast():
+    # (t - a)(t^2 + 1) with a 14-digit prime a: the candidate numerators come
+    # from factoring a, not from trial division up to sqrt(a)
+    a = 99999999999973
+    start = time.perf_counter()
+    roots = rational_roots([1, -a, 1, -a])
+    elapsed = time.perf_counter() - start
+    assert roots == [Fraction(a)]
+    assert elapsed < 0.5, f"rational_roots took {elapsed:.2f} s"
 
 
 def test_rational_roots_cubic_wrapper():

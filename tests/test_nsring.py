@@ -147,11 +147,46 @@ def test_cube_accepts_divisor_and_fractions():
     assert form.cube((Fraction(1, 2), 0)) == Fraction(1, 8)
 
 
+def _unit(n, k):
+    return tuple(Fraction(int(i == k)) for i in range(n))
+
+
+def _brute_nu(form, d):
+    """nu(d) from T(d, d, d), T(d, d, e_k) and T(d, e_j, e_k) by brute force."""
+    e = [_unit(form.rank, k) for k in range(form.rank)]
+    if _brute_triple(form, d, d, d):
+        return 3
+    if any(_brute_triple(form, d, d, ek) for ek in e):
+        return 2
+    if any(_brute_triple(form, d, ej, ek) for ej in e for ek in e):
+        return 1
+    return 0
+
+
+def _ladder_case(rng, nu):
+    """A random form and a rational point d with nu(d) <= nu, generically equal:
+    d lives on the first m coordinates, and every entry with more than nu of
+    its indices below m is dropped."""
+    n = rng.randint(2, 5)
+    m = n if nu == 3 else rng.randint(1, n - 1)
+    entries = {
+        key: v for key, v in random_form(rng, n, 5).entries.items()
+        if sum(i < m for i in key) <= nu
+    }
+    return IntersectionForm(n, entries), _rational_vector(rng, m) + (Fraction(0),) * (n - m)
+
+
 def test_square_class():
     form = IntersectionForm.diagonal([1, 2, -3])
     sq = form.square_class((1, 1, 1))
     assert tuple(sq.coords) == (1, 2, -3)
     assert sq.pair((1, 1, 1)) == 0  # D lies on its own polar plane: cube is 0
+    rng = random.Random(9)
+    for trial in range(40):
+        form, d = _ladder_case(rng, trial % 4)
+        expect = tuple(_brute_triple(form, d, d, _unit(form.rank, k)) for k in range(form.rank))
+        assert form.square_class(d).coords == expect
+        assert form.square_class(Divisor(d)).coords == expect
 
 
 def test_numerical_dimension_ladder():
@@ -166,6 +201,14 @@ def test_numerical_dimension_ladder():
     # nu = 0: numerically trivial
     h = IntersectionForm(2, {(0, 0, 0): 1})
     assert h.numerical_dimension((0, 1)) == 0
+    rng = random.Random(10)
+    seen = set()
+    for trial in range(60):
+        form, d = _ladder_case(rng, trial % 4)
+        nu = form.numerical_dimension(d)
+        assert nu == _brute_nu(form, d)
+        seen.add(nu)
+    assert seen == {0, 1, 2, 3}
 
 
 def test_rank_mismatch_raises():

@@ -1,0 +1,75 @@
+"""Byte-identity pins: digests of outputs that refactors must not change.
+
+Each test renders a seeded set of results and compares one SHA-256 with the
+value recorded when the pin was added.  A failing pin means the library's
+output changed; if the change is intended, the new digest goes in with it.
+"""
+
+import hashlib
+import json
+import random
+
+from nullcone.certify import certify
+from nullcone.cli import render_json
+from nullcone.cubicfactor import factor_over_Q
+from nullcone.exactmath import Poly
+
+from helpers import (
+    SECTION_DECOY_CUBIC,
+    annihilator_c2,
+    plant_null_form,
+    random_linear_poly,
+    random_quadric_poly,
+)
+
+PLANTED_CERTIFICATES_SHA256 = "2a945233b3a05a240d84cede099f6a5bc1949fb8e1b1dd4ccc7f4a314aada11e"
+FACTOR_RESULTS_SHA256 = "bd9cbaa43353345e2d811c9be900d1d08d288b292517111f9ecb5651619ef770"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_planted_certificates_pinned():
+    # three planted null forms per rank 5..10, c2 . D = 0, so each one goes
+    # through the factorization, the square class and the tangent chase
+    rng = random.Random(510)
+    rendered = []
+    for n in range(5, 11):
+        for _ in range(3):
+            form, d = plant_null_form(rng, n, 4)
+            c2 = annihilator_c2(rng, d, form.square_class(d).coords)
+            rendered.append(render_json(certify(form, c2, d)))
+    assert _sha256("".join(rendered)) == PLANTED_CERTIFICATES_SHA256
+
+
+def test_factor_results_pinned():
+    # the first products of criterion 01's generator, then a pure-cube-free
+    # product (shear path), a linear form times an irreducible quadric with
+    # no pure cube, and a cubic where a section-consistent candidate fails
+    rng = random.Random(101)
+    cubics = []
+    for _ in range(8):
+        n = rng.randint(3, 8)
+        cubics.append(random_linear_poly(rng, n, 9) * random_quadric_poly(rng, n, 9))
+    for _ in range(4):
+        n = rng.randint(3, 8)
+        cubics.append(
+            random_linear_poly(rng, n, 9)
+            * random_linear_poly(rng, n, 9)
+            * random_linear_poly(rng, n, 9)
+        )
+    x0, x1, x2 = (Poly.variable(3, i) for i in range(3))
+    cubics += [
+        6 * x0 * x1 * x2,
+        x0 * (x1 * x1 + x1 * x2 + 2 * x2 * x2),
+        SECTION_DECOY_CUBIC,
+    ]
+    rows = []
+    for f in cubics:
+        for seed in range(3):
+            r = factor_over_Q(f, seed)
+            gram = None if r.quadric is None else [[str(c) for c in row] for row in r.quadric.gram]
+            rows.append([r.kind.value, str(r.scalar), [list(l) for l in r.linears], gram])
+    assert _sha256(json.dumps(rows)) == FACTOR_RESULTS_SHA256
+

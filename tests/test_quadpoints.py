@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from nullcone.exactmath import vec_dot
+from nullcone.exactmath import factorint, vec_dot
 from nullcone.quadpoints import (
     InsufficientPoints,
     IsotropyKind,
     QuadraticForm,
     SearchExhausted,
     diagonalize,
-    factorint,
     hilbert_symbol,
     is_isotropic,
     isotropic_vector,
