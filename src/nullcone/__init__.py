@@ -20,7 +20,6 @@ from .cubicchase import (
     ChaseEdge,
     ChaseTrace,
     Degeneracy,
-    SingularPointSearch,
     chase,
     inflection_test,
     is_singular_at,
@@ -90,7 +89,6 @@ __all__ = [
     "QuadraticForm",
     "ResidualPoint",
     "SearchExhausted",
-    "SingularPointSearch",
     "canonical_vector",
     "certify",
     "chase",

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .cubicchase import chase, inflection_test, residual_on_tangent, ternary_singular_point
 from .cubicfactor import FactorKind, expand_cubic, factor_over_Q
 from .exactmath import (
+    Rat,
     canonical_vector,
+    frac,
     height,
     is_perfect_square,
     iter_kernel_primitives,
@@ -76,7 +77,7 @@ class Check:
 
     label: str
     op: str
-    value: Fraction
+    value: Rat
     operands: tuple
 
 
@@ -93,8 +94,6 @@ class Options:
     budget: int = 500
     max_height: int = 1000
     seed: int = 0
-    samples: int = 8
-    max_directions: int = 5000
 
 
 @dataclass
@@ -123,8 +122,8 @@ class _Pipeline:
         if self.h is not None:
             self.witnesses["H"] = self.h
 
-    def check(self, label: str, op: str, value, *operands) -> Fraction:
-        value = Fraction(value)
+    def check(self, label: str, op: str, value, *operands) -> Rat:
+        value = frac(value)
         self.trace.append(Check(label, op, value, tuple(operands)))
         return value
 
@@ -248,13 +247,7 @@ class _Pipeline:
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         try:
-            samples = sample_points(
-                quad,
-                verdict.witness,
-                self.opts.samples,
-                avoid=[lin, tuple(c2.coords)],
-                max_directions=self.opts.max_directions,
-            )
+            samples = sample_points(quad, verdict.witness, 8, avoid=[lin, tuple(c2.coords)])
         except InsufficientPoints as exc:
             self.warnings.append(f"constructive point search gave out: {exc}")
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
@@ -264,7 +257,7 @@ class _Pipeline:
         self.check(
             "Q(E)", "quad", quad.evaluate(e.coords), tuple(quad.gram), e.coords
         )
-        self.check("L(E)", "dot", vec_dot(lin, e.coords), tuple(map(Fraction, lin)), e.coords)
+        self.check("L(E)", "dot", vec_dot(lin, e.coords), lin, e.coords)
         self.check("c2(E)", "c2", c2.pair(e), e.coords)
         self.check("cube(E)", "cube", self.form.cube(e), e.coords)
         return self.finish(Conclusion.CERTIFIED, RULE_MAIN_REDUCIBLE)
@@ -291,9 +284,8 @@ class _Pipeline:
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         self.caveats.append(CAVEAT_QFACTOR)
-        found = ternary_singular_point(form, self.opts.max_height)
-        if found.point is not None:
-            p = found.point
+        p = ternary_singular_point(form)
+        if p is not None:
             self.witnesses["P"] = p
             self.check("cube(P)", "cube", form.cube(p), p.coords)
             self.check("nu(P)", "nu", form.numerical_dimension(p), p.coords)
@@ -318,21 +310,11 @@ class _Pipeline:
                 "point had nonzero c2 pairing within the budget"
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-        if not found.exhaustive:
-            self.warnings.append(
-                "the singular-point decision fell back to a bounded search and "
-                "proved nothing; treating the cubic's smoothness as unknown"
-            )
-            return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-        # smooth cubic: walk to the residual of the tangent line at D
+        # smooth cubic: walk to the residual of the tangent line at D; nu(D) = 2,
+        # so the tangent plane is a rank-2 lattice with directions besides D
         sq = form.square_class(d)
         d_key = canonical_vector(d.coords)
-        direction = next(
-            (x for x in iter_kernel_primitives([list(sq.coords)]) if x != d_key), None
-        )
-        if direction is None:
-            self.warnings.append("no tangent direction at D exists in the lattice")
-            return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
+        direction = next(x for x in iter_kernel_primitives([list(sq.coords)]) if x != d_key)
         e = residual_on_tangent(form, d, Divisor(direction))
         if e is None:
             self.warnings.append(
@@ -343,7 +325,7 @@ class _Pipeline:
         if canonical_vector(e.coords) == d_key:
             self.check(
                 "T(D,x,x)", "triple", form.triple(d, direction, direction),
-                d.coords, tuple(map(Fraction, direction)), tuple(map(Fraction, direction)),
+                d.coords, direction, direction,
             )
             self.warnings.append(
                 "D is an inflection point of the cubic: the tangent line returns "
@@ -383,10 +365,10 @@ class _Pipeline:
         c = self.check(
             "T(E0,D,D)", "triple", form.triple(e0, d, d), e0.coords, d.coords, d.coords
         )
-        rays: list[tuple[Fraction, Fraction]] = []
+        rays: list[tuple[Rat, Rat]] = []
         disc = None
         if a == 0:
-            rays.append((Fraction(1), Fraction(0)))
+            rays.append((1, 0))
             if b != 0 or c != 0:
                 rays.append((c, -b))
         else:
@@ -458,7 +440,7 @@ def certify(
     return _Pipeline(form, c2, d, h, assumptions, options).run()
 
 
-def replay_check(form: IntersectionForm, c2: LinearClass, chk: Check) -> Fraction:
+def replay_check(form: IntersectionForm, c2: LinearClass, chk: Check) -> Rat:
     """Recompute the value of a single trace check from the raw input."""
     op, args = chk.op, chk.operands
     if op == "cube":
@@ -468,7 +450,7 @@ def replay_check(form: IntersectionForm, c2: LinearClass, chk: Check) -> Fractio
     if op == "c2":
         return c2.pair(args[0])
     if op == "nu":
-        return Fraction(form.numerical_dimension(args[0]))
+        return form.numerical_dimension(args[0])
     if op == "dot":
         return vec_dot(args[0], args[1])
     if op == "quad":
@@ -487,7 +469,7 @@ def replay_check(form: IntersectionForm, c2: LinearClass, chk: Check) -> Fractio
         return s
     if op == "factor_kind":
         fac = factor_over_Q(expand_cubic(form), int(args[0]))
-        return Fraction(_FACTOR_CODES[fac.kind])
+        return _FACTOR_CODES[fac.kind]
     raise ValueError(f"unknown check op {op!r}")
 
 

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .certify import (
@@ -24,7 +23,7 @@ from .certify import (
 )
 from .cubicchase import chase, third_point_on_line
 from .cubicfactor import expand_cubic, factor_over_Q
-from .exactmath import frac
+from .exactmath import Rat, frac
 from .nsring import (
     Divisor,
     IntersectionForm,
@@ -39,14 +38,14 @@ class InputError(ValueError):
     """A malformed input document, with a locating message."""
 
 
-def _parse_rat(value, where: str) -> Fraction:
+def _parse_rat(value, where: str) -> Rat:
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, float):
         raise InputError(f"{where}: floating point is not accepted; use 'p/q' strings")
     if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
+            return frac(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: not a rational: {value!r} ({exc})") from None
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}")

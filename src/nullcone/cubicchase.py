@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .cubicfactor import expand_cubic, factor_quadratic_form, is_perfect_cube_linear
 from .exactmath import (
@@ -18,7 +17,6 @@ from .exactmath import (
     canonical_vector,
     height,
     iter_kernel_primitives,
-    iter_primitive_vectors,
     kernel_basis,
     primitive_vector,
     rational_roots,
@@ -111,7 +109,7 @@ def _tangent_section(form: IntersectionForm, p: Divisor, sq: LinearClass) -> Pol
     m = len(basis)
     f = expand_cubic(form)
     images = [
-        Poly(m, {tuple(int(r == j) for r in range(m)): Fraction(bv[i])
+        Poly(m, {tuple(int(r == j) for r in range(m)): bv[i]
                  for j, bv in enumerate(basis) if bv[i]})
         for i in range(form.rank)
     ]
@@ -228,7 +226,7 @@ def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
     if d is not None:
         dd = _as_divisor(d)
         for g in candidates:
-            rows = [list(dd.coords), list(ee.coords), [Fraction(x) for x in g]]
+            rows = [list(dd.coords), list(ee.coords), list(g)]
             if len(rref(rows)[1]) == 3:
                 chosen = g
                 break
@@ -238,18 +236,6 @@ def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
 
 # ---------------------------------------------------------------------------
 # singular points of ternary cubics: a complete decision procedure
-
-
-@dataclass(frozen=True)
-class SingularPointSearch:
-    """Outcome of the singular-point decision.
-
-    exhaustive=True means the answer is proved (point found, or none exists
-    over the rationals); exhaustive=False is a bounded-search fallback that
-    found nothing but proves nothing."""
-
-    point: Divisor | None
-    exhaustive: bool
 
 
 def _gradient_quadrics(form: IntersectionForm) -> list[QuadraticForm]:
@@ -352,18 +338,18 @@ def _sylvester_resultant(q1: QuadraticForm, q2: QuadraticForm) -> Poly:
 def _conic_pair_candidates(qa: QuadraticForm, qb: QuadraticForm) -> list[tuple[int, ...]]:
     res = _sylvester_resultant(qa, qb)
     if res.is_zero:
-        return []
+        raise AssertionError("two distinct irreducible conics share a component")
     max_x = max(e[0] for e in res.terms)
     coeffs = [
-        sum((c for e, c in res.terms.items() if e[0] == k), Fraction(0))
+        sum(c for e, c in res.terms.items() if e[0] == k)
         for k in range(max_x, -1, -1)
     ]
-    rays: list[tuple[Fraction, Fraction]] = []
+    rays = []
     if any(c != 0 for c in coeffs):
         for r in sorted(set(rational_roots(coeffs))):
-            rays.append((r, Fraction(1)))
+            rays.append((r, 1))
     if res.evaluate((1, 0)) == 0:
-        rays.append((Fraction(1), Fraction(0)))
+        rays.append((1, 0))
     candidates: list[tuple[int, ...]] = [(0, 0, 1)]
     for x0, y0 in rays:
         for q in (qa, qb):
@@ -380,8 +366,8 @@ def _conic_pair_candidates(qa: QuadraticForm, qb: QuadraticForm) -> list[tuple[i
     return candidates
 
 
-def ternary_singular_point(form: IntersectionForm, height_bound: int = 1000) -> SingularPointSearch:
-    """Find a rational singular point of a ternary cubic, or prove none exists.
+def ternary_singular_point(form: IntersectionForm) -> Divisor | None:
+    """A rational singular point of a ternary cubic, or None when none exists.
 
     The singular locus is the common rational zero set of the three gradient
     quadrics; each nonzero quadric's zeros form an empty set, a point, one or
@@ -405,19 +391,19 @@ def ternary_singular_point(form: IntersectionForm, height_bound: int = 1000) -> 
 
     descriptions = [_describe_zero_set(q) for q in quadrics]
     if any(d[0] == "empty" for d in descriptions):
-        return SingularPointSearch(None, True)
+        return None
     for d in descriptions:
         if d[0] == "point":
-            return SingularPointSearch(verified([d[1]]), True)
+            return verified([d[1]])
     for d in descriptions:
         if d[0] == "lines":
             candidates: list[tuple[int, ...]] = []
             for l in dict.fromkeys(d[1]):
                 kind, payload = _line_candidates(l, quadrics)
                 if kind == "whole":
-                    return SingularPointSearch(verified([payload]), True)
+                    return verified([payload])
                 candidates.extend(payload)
-            return SingularPointSearch(verified(candidates), True)
+            return verified(candidates)
     # every gradient quadric is an irreducible conic with rational points
     keys = {}
     for q, d in zip(quadrics, descriptions):
@@ -425,14 +411,5 @@ def ternary_singular_point(form: IntersectionForm, height_bound: int = 1000) -> 
         keys.setdefault(flat, (q, d))
     distinct = list(keys.values())
     if len(distinct) == 1:
-        return SingularPointSearch(verified([distinct[0][1][1]]), True)
-    qa, qb = distinct[0][0], distinct[1][0]
-    candidates = _conic_pair_candidates(qa, qb)
-    if candidates:
-        return SingularPointSearch(verified(candidates), True)
-    # defensive fallback: the resultant vanished identically (not expected
-    # for distinct irreducible conics); search a bounded box
-    for v in iter_primitive_vectors(3, max_height=min(height_bound, 30)):
-        if all(q.evaluate(v) == 0 for q in quadrics):
-            return SingularPointSearch(Divisor(v), False)
-    return SingularPointSearch(None, False)
+        return verified([distinct[0][1][1]])
+    return verified(_conic_pair_candidates(distinct[0][0], distinct[1][0]))

@@ -14,11 +14,14 @@ from fractions import Fraction
 
 from .exactmath import (
     Poly,
+    Rat,
     canonical_vector,
     exact_divide,
+    frac,
     height,
     iter_integer_vectors,
     mat_inv,
+    primitive_vector,
     rational_roots,
     is_perfect_square,
     spiral_key,
@@ -44,7 +47,7 @@ class Factorization:
     """
 
     kind: FactorKind
-    scalar: Fraction
+    scalar: Rat
     linears: tuple[tuple[int, ...], ...]
     quadric: QuadraticForm | None
 
@@ -95,7 +98,7 @@ def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[tuple[int, ...], Poly] |
     """A linear factor with a nonzero x_p coefficient and its cofactor, or None."""
     n = f.nvars
     a0 = f.coeff(_exp_cube(n, p))
-    root_sets: list[tuple[int, list[Fraction]]] = []
+    root_sets: list[tuple[int, list[Rat]]] = []
     for i in range(n):
         if i == p:
             continue
@@ -109,25 +112,27 @@ def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[tuple[int, ...], Poly] |
             return None
         root_sets.append((i, roots))
     if not root_sets:
-        coords = [Fraction(0)] * n
-        coords[p] = Fraction(1)
-        return _divided(f, canonical_vector(coords))
+        coords = [0] * n
+        coords[p] = 1
+        return _divided(f, tuple(coords))
     # anchor on the first non-pivot variable and keep, for every other
     # variable, only the roots consistent with the anchor on the common
     # three-variable section; a divisor's coordinates always survive, and the
     # combination count collapses from exponential to (usually) one per anchor
     i1, anchor_roots = root_sets[0]
     for t1 in anchor_roots:
-        filtered: list[tuple[int, list[Fraction]]] = []
+        filtered: list[tuple[int, list[Rat]]] = []
         feasible = True
         for i, roots in root_sets[1:]:
             compatible = []
             for t in roots:
-                point = [Fraction(0)] * n
+                point = [0] * n
                 point[p] = t1 + t
-                point[i1] = Fraction(1)
-                point[i] = Fraction(1)
-                if f.evaluate(point) == 0:
+                point[i1] = 1
+                point[i] = 1
+                # f is a cubic form, so clearing the denominator of t1 + t
+                # keeps the zero test and evaluates in integers
+                if f.evaluate(primitive_vector(point)) == 0:
                     compatible.append(t)
             if not compatible:
                 feasible = False
@@ -136,8 +141,8 @@ def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[tuple[int, ...], Poly] |
         if not feasible:
             continue
         for combo in itertools.product(*(roots for _, roots in filtered)):
-            coords = [Fraction(0)] * n
-            coords[p] = Fraction(1)
+            coords = [0] * n
+            coords[p] = 1
             coords[i1] = -t1
             for (i, _), t in zip(filtered, combo):
                 coords[i] = -t
@@ -162,10 +167,10 @@ def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | No
     others = [i for i in range(n) if i != p]
     shift = None
     for cvec in iter_integer_vectors(len(others)):
-        point = [Fraction(0)] * n
-        point[p] = Fraction(1)
+        point = [0] * n
+        point[p] = 1
         for idx, i in enumerate(others):
-            point[i] = Fraction(cvec[idx])
+            point[i] = cvec[idx]
         if f.evaluate(point) != 0:
             shift = cvec
             break
@@ -180,15 +185,15 @@ def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | No
     found = _linear_factor_with_pivot(f.substitute(images), p)
     if found is None:
         return None
-    w = [Fraction(c) for c in found[0]]
-    w[p] = w[p] - sum(w[i] * shift[others.index(i)] for i in others)
+    w = list(found[0])
+    w[p] -= sum(w[i] * shift[others.index(i)] for i in others)
     found = _divided(f, canonical_vector(w))
     if found is None:
         raise AssertionError("shear-mapped factor failed verification")
     return found
 
 
-def _primitive_poly(p: Poly) -> tuple[Fraction, Poly]:
+def _primitive_poly(p: Poly) -> tuple[Rat, Poly]:
     """Write p = scalar * q with q having coprime integer coefficients and a
     positive lex-leading coefficient."""
     lead = max(p.terms)
@@ -198,7 +203,7 @@ def _primitive_poly(p: Poly) -> tuple[Fraction, Poly]:
     scale = Fraction(g, den)
     if p.terms[lead] < 0:
         scale = -scale
-    return scale, Poly(p.nvars, {e: c / scale for e, c in p.terms.items()})
+    return frac(scale), Poly(p.nvars, {e: Fraction(c, scale) for e, c in p.terms.items()})
 
 
 def factor_quadratic_form(q: QuadraticForm):
@@ -217,7 +222,7 @@ def factor_quadratic_form(q: QuadraticForm):
         pair = (l, l)
     else:
         r, s = nz
-        root = is_perfect_square(-diag[s] / diag[r])
+        root = is_perfect_square(Fraction(-diag[s], diag[r]))
         if root is None:
             return None
         row_r, row_s = pinv[r], pinv[s]
@@ -226,7 +231,7 @@ def factor_quadratic_form(q: QuadraticForm):
         pair = tuple(sorted((l1, l2), key=lambda v: (height(v), spiral_key(v))))
     prod = Poly.linear(pair[0]) * Poly.linear(pair[1])
     lead = max(prod.terms)
-    scalar = q_poly.coeff(lead) / prod.coeff(lead)
+    scalar = frac(Fraction(q_poly.coeff(lead), prod.coeff(lead)))
     if scalar * prod != q_poly:
         raise AssertionError("quadric split failed verification")
     return pair[0], pair[1], scalar
@@ -241,14 +246,14 @@ def is_perfect_cube_linear(f: Poly):
     if i0 is None:
         return None
     c3 = f.coeff(_exp_cube(n, i0))
-    coords = [Fraction(0)] * n
-    coords[i0] = Fraction(1)
+    coords = [0] * n
+    coords[i0] = 1
     for j in range(n):
         if j != i0:
-            coords[j] = f.coeff(_exp_sq(n, i0, j)) / (3 * c3)
+            coords[j] = Fraction(f.coeff(_exp_sq(n, i0, j)), 3 * c3)
     l = canonical_vector(coords)
     cube = Poly.linear(l) ** 3
-    scalar = c3 / cube.coeff(_exp_cube(n, i0))
+    scalar = frac(Fraction(c3, cube.coeff(_exp_cube(n, i0))))
     if scalar * cube != f:
         return None
     return l, scalar
@@ -266,7 +271,7 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
         raise ValueError("input must be a homogeneous cubic")
     found = _find_linear_factor(f, seed)
     if found is None:
-        return Factorization(FactorKind.IRREDUCIBLE, Fraction(1), (), None)
+        return Factorization(FactorKind.IRREDUCIBLE, 1, (), None)
     lin, cof = found
     split = factor_quadratic_form(QuadraticForm.from_poly(cof))
     if split is None:

@@ -1,9 +1,14 @@
 """Exact arithmetic: polynomials, integer factoring, linear algebra, lattice enumeration.
 
-Everything in this package is computed over the rationals with no rounding;
-``fractions.Fraction`` is the scalar type (always reduced, positive denominator).
-The lattice enumerators share one lazy depth-first walk in (height, spiral-lex)
-order, whose cost grows with the vectors consumed rather than with the rank.
+Everything in this package is computed over the rationals with no rounding.
+One scalar rule, decided by `frac` alone: an exact value is an ``int`` unless
+it is fractional, and then a reduced ``fractions.Fraction``.  `vec` and the
+constructors of `Poly`, divisor classes and quadratic forms apply it, so
+integral data is held, and computed on, as ints.  Each true division is an
+explicit ``Fraction(a, b)``; ``/`` is never used, since on two ints it gives
+a float.  The lattice enumerators share one lazy depth-first walk in
+(height, spiral-lex) order, whose cost grows with the vectors consumed
+rather than with the rank.
 """
 from __future__ import annotations
 
@@ -12,18 +17,25 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-Rat = Fraction
-Vec = tuple[Fraction, ...]
-Mat = list[list[Fraction]]
+Rat = int | Fraction
+Vec = tuple[Rat, ...]
+Mat = list[list[Rat]]
 Exponent = tuple[int, ...]
 
 
-def frac(x) -> Fraction:
-    """Coerce an int/str/Fraction to Fraction (exact)."""
+def frac(x) -> Rat:
+    """The exact scalar for x: the one place that decides the scalar type.
+
+    An int stays an int and a bool becomes the int 0 or 1.  A Fraction or a
+    string such as "3/2" becomes a Fraction, returned as an int when its
+    denominator is 1.  Anything else (a float) raises TypeError.
+    """
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, str):
+        x = Fraction(x)
     if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
@@ -31,10 +43,10 @@ def vec(values: Iterable) -> Vec:
     return tuple(frac(v) for v in values)
 
 
-def vec_dot(a: Sequence, b: Sequence) -> Fraction:
+def vec_dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((frac(x) * frac(y) for x, y in zip(a, b)), Fraction(0))
+    return sum(x * y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +54,13 @@ def vec_dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 class Poly:
-    """Sparse multivariate polynomial: {exponent tuple: nonzero Fraction}."""
+    """Sparse multivariate polynomial: {exponent tuple: nonzero exact scalar}."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: dict[Exponent, Rat] | None = None):
         self.nvars = nvars
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Rat] = {}
         if terms:
             for expo, coeff in terms.items():
                 c = frac(coeff)
@@ -70,7 +82,7 @@ class Poly:
     def variable(cls, nvars: int, i: int) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def linear(cls, coords: Sequence) -> "Poly":
@@ -100,8 +112,8 @@ class Poly:
             return False
         return d is None or degs == {d}
 
-    def coeff(self, expo: Exponent) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
+    def coeff(self, expo: Exponent) -> Rat:
+        return self.terms.get(tuple(expo), 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
@@ -117,7 +129,7 @@ class Poly:
             raise ValueError("variable-count mismatch")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return Poly(self.nvars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -127,11 +139,11 @@ class Poly:
         if isinstance(other, Poly):
             if self.nvars != other.nvars:
                 raise ValueError("variable-count mismatch")
-            out: dict[Exponent, Fraction] = {}
+            out: dict[Exponent, Rat] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+                    out[e] = out.get(e, 0) + c1 * c2
             return Poly(self.nvars, out)
         return Poly(self.nvars, {e: c * frac(other) for e, c in self.terms.items()})
 
@@ -145,11 +157,11 @@ class Poly:
             out = out * self
         return out
 
-    def evaluate(self, point: Sequence) -> Fraction:
+    def evaluate(self, point: Sequence) -> Rat:
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        pt = [frac(x) for x in point]
-        total = Fraction(0)
+        pt = vec(point)
+        total = 0
         for e, c in self.terms.items():
             v = c
             for x, k in zip(pt, e):
@@ -184,7 +196,7 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _leading(p: Poly) -> tuple[Exponent, Fraction]:
+def _leading(p: Poly) -> tuple[Exponent, Rat]:
     e = max(p.terms)
     return e, p.terms[e]
 
@@ -208,7 +220,7 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
         e = tuple(a - b for a, b in zip(le_r, le_g))
         if any(k < 0 for k in e):
             return None
-        t = Poly(f.nvars, {e: lc_r / lc_g})
+        t = Poly(f.nvars, {e: Fraction(lc_r, lc_g)})
         q = q + t
         r = r - t * g
     return q
@@ -289,7 +301,7 @@ def factorint(n: int) -> dict[int, int]:
 # univariate rational roots
 
 
-def _strip(coeffs: list[Fraction]) -> list[Fraction]:
+def _strip(coeffs: list[Rat]) -> list[Rat]:
     i = 0
     while i < len(coeffs) and coeffs[i] == 0:
         i += 1
@@ -304,7 +316,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _deflate(coeffs: list[Fraction], r: Fraction) -> list[Fraction]:
+def _deflate(coeffs: list[Rat], r: Rat) -> list[Rat]:
     """Synthetic division by (t - r); the remainder must be zero."""
     out = [coeffs[0]]
     for c in coeffs[1:]:
@@ -314,14 +326,14 @@ def _deflate(coeffs: list[Fraction], r: Fraction) -> list[Fraction]:
     return out[:-1]
 
 
-def _one_rational_root(coeffs: list[Fraction]) -> Fraction | None:
+def _one_rational_root(coeffs: list[Rat]) -> Rat | None:
     """One rational root of the poly with the given descending coefficients,
     of degree 1 or at least 3 (`rational_roots` solves quadratics itself)."""
     deg = len(coeffs) - 1
     if deg == 1:
-        return -coeffs[1] / coeffs[0]
+        return Fraction(-coeffs[1], coeffs[0])
     if coeffs[-1] == 0:
-        return Fraction(0)
+        return 0
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     content = math.gcd(*ints)
@@ -330,7 +342,7 @@ def _one_rational_root(coeffs: list[Fraction]) -> Fraction | None:
         for q in _divisors(ints[0]):
             cand = Fraction(p, q)
             for root in (cand, -cand):
-                val = Fraction(0)
+                val = 0
                 for c in ints:
                     val = val * root + c
                 if val == 0:
@@ -338,7 +350,7 @@ def _one_rational_root(coeffs: list[Fraction]) -> Fraction | None:
     return None
 
 
-def rational_roots(coeffs: Sequence) -> list[Fraction]:
+def rational_roots(coeffs: Sequence) -> list[Rat]:
     """All rational roots (with multiplicity, ascending) of a univariate poly.
 
     ``coeffs`` are descending; degenerate leading zeros are allowed but the
@@ -347,14 +359,14 @@ def rational_roots(coeffs: Sequence) -> list[Fraction]:
     cs = _strip([frac(c) for c in coeffs])
     if not cs:
         raise ValueError("the zero polynomial has every point as a root")
-    roots: list[Fraction] = []
+    roots: list[Rat] = []
     while len(cs) > 1:
         if len(cs) == 3:
             a, b, c = cs
             s = is_perfect_square(b * b - 4 * a * c)
             if s is None:
                 break
-            roots.extend([(-b + s) / (2 * a), (-b - s) / (2 * a)])
+            roots.extend([Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)])
             break
         r = _one_rational_root(cs)
         if r is None:
@@ -364,7 +376,7 @@ def rational_roots(coeffs: Sequence) -> list[Fraction]:
     return sorted(roots)
 
 
-def is_perfect_square(q) -> Fraction | None:
+def is_perfect_square(q) -> Rat | None:
     """The nonnegative square root of q when q is a rational square, else None."""
     q = frac(q)
     if q < 0:
@@ -372,7 +384,7 @@ def is_perfect_square(q) -> Fraction | None:
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+        return frac(Fraction(rn, rd))
     return None
 
 
@@ -381,7 +393,7 @@ def is_perfect_square(q) -> Fraction | None:
 
 
 def mat_identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
@@ -391,13 +403,13 @@ def mat_vec(a: Mat, v: Sequence) -> Vec:
 def mat_inv(a: Mat) -> Mat:
     """Inverse by Gauss-Jordan; raises on a singular matrix."""
     n = len(a)
-    aug = [[frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [[frac(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
             raise ValueError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
+        inv = Fraction(1, aug[col][col])
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
@@ -421,7 +433,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
+        inv = Fraction(1, m[r][col])
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col] != 0:
@@ -475,8 +487,8 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     for j in range(ncols):
         if j in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        v = [0] * ncols
+        v[j] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][j]
         basis.append(canonical_vector(v))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactmath import Vec, canonical_vector, frac, primitive_vector, vec, vec_dot
+from .exactmath import Rat, Vec, canonical_vector, frac, primitive_vector, vec, vec_dot
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class LinearClass:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def pair(self, d: Divisor | Sequence) -> Fraction:
+    def pair(self, d: Divisor | Sequence) -> Rat:
         other = d.coords if isinstance(d, Divisor) else vec(d)
         return vec_dot(self.coords, other)
 
@@ -132,13 +132,13 @@ class IntersectionForm:
         den = math.lcm(*(q.denominator for q in c))
         return [q.numerator * (den // q.denominator) for q in c], den
 
-    def triple(self, a, b, c) -> Fraction:
+    def triple(self, a, b, c) -> Rat:
         """The full trilinear evaluation T(a, b, c)."""
         (x, dx), (y, dy), (z, dz) = self._scaled(a), self._scaled(b), self._scaled(c)
         total = sum(v * x[i] * y[j] * z[k] for (i, j, k), v in self.symmetric.items())
-        return Fraction(total, dx * dy * dz)
+        return frac(Fraction(total, dx * dy * dz))
 
-    def cube(self, d) -> Fraction:
+    def cube(self, d) -> Rat:
         return self.triple(d, d, d)
 
     def _square(self, x: list[int]) -> list[int]:
@@ -178,7 +178,7 @@ def nef_threshold(form: IntersectionForm, h: Divisor, d: Divisor) -> Fraction:
     dh2 = form.triple(d, h, h)
     if dh2 == 0:
         raise ValueError("triple(d, h, h) = 0; the ray h - t*d never leaves the null cone")
-    return form.cube(h) / (3 * dh2)
+    return Fraction(form.cube(h), 3 * dh2)
 
 
 def positivity_flags(form: IntersectionForm, n: Divisor, h: Divisor) -> tuple[bool, bool, bool]:

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .exactmath import (
     Mat,
     Poly,
+    Rat,
     canonical_vector,
     factorint,
     frac,
@@ -118,7 +119,7 @@ def _sqrt_mod_squarefree(a: int, m: int) -> int | None:
 class QuadraticForm:
     """A quadratic form given by its exact symmetric Gram matrix."""
 
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[Rat, ...], ...]
 
     def __post_init__(self):
         rows = tuple(vec(row) for row in self.gram)
@@ -143,7 +144,7 @@ class QuadraticForm:
     def from_diagonal(cls, values: Sequence) -> "QuadraticForm":
         n = len(values)
         return cls(tuple(
-            tuple(frac(values[i]) if i == j else Fraction(0) for j in range(n))
+            tuple(values[i] if i == j else 0 for j in range(n))
             for i in range(n)
         ))
 
@@ -152,20 +153,20 @@ class QuadraticForm:
         if not p.is_homogeneous(2):
             raise ValueError("polynomial is not a homogeneous quadratic")
         n = p.nvars
-        g = [[Fraction(0)] * n for _ in range(n)]
+        g = [[0] * n for _ in range(n)]
         for e, c in p.terms.items():
             idx = [i for i, k in enumerate(e) for _ in range(k)]
             i, j = idx
             if i == j:
                 g[i][i] = c
             else:
-                g[i][j] += c / 2
-                g[j][i] += c / 2
+                g[i][j] += Fraction(c, 2)
+                g[j][i] += Fraction(c, 2)
         return cls(tuple(tuple(row) for row in g))
 
     def to_poly(self) -> Poly:
         n = self.nvars
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Rat] = {}
         for i in range(n):
             for j in range(i, n):
                 c = self.gram[i][j] if i == j else 2 * self.gram[i][j]
@@ -173,17 +174,16 @@ class QuadraticForm:
                     e = [0] * n
                     e[i] += 1
                     e[j] += 1
-                    terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c
+                    terms[tuple(e)] = terms.get(tuple(e), 0) + c
         return Poly(n, terms)
 
-    def evaluate(self, v: Sequence) -> Fraction:
+    def evaluate(self, v: Sequence) -> Rat:
         x = vec(v)
-        return vec_dot(x, mat_vec([list(r) for r in self.gram], x))
+        return vec_dot(x, mat_vec(self.gram, x))
 
-    def bilinear(self, v: Sequence, w: Sequence) -> Fraction:
+    def bilinear(self, v: Sequence, w: Sequence) -> Rat:
         """Polar pairing B with Q(v+w) = Q(v) + 2 B(v,w) + Q(w)."""
-        x = vec(v)
-        return vec_dot(x, mat_vec([list(r) for r in self.gram], vec(w)))
+        return vec_dot(vec(v), mat_vec(self.gram, vec(w)))
 
 
 def radical(q: QuadraticForm) -> list[tuple[int, ...]]:
@@ -191,13 +191,13 @@ def radical(q: QuadraticForm) -> list[tuple[int, ...]]:
     return kernel_basis([list(r) for r in q.gram])
 
 
-def diagonalize(q: QuadraticForm) -> tuple[Mat, list[Fraction]]:
+def diagonalize(q: QuadraticForm) -> tuple[Mat, list[Rat]]:
     """Congruence transform P with P^T S P diagonal; returns (P, diagonal)."""
     n = q.nvars
     s = [list(row) for row in q.gram]
     p = mat_identity(n)
 
-    def add_col(dst: int, src: int, c: Fraction):
+    def add_col(dst: int, src: int, c: Rat):
         for r in range(n):
             s[r][dst] += c * s[r][src]
         for r in range(n):
@@ -225,14 +225,14 @@ def diagonalize(q: QuadraticForm) -> tuple[Mat, list[Fraction]]:
                 if pair is None:
                     continue
                 i, j = pair
-                add_col(i, j, Fraction(1))
+                add_col(i, j, 1)
                 if i != k:
                     swap(k, i)
         if s[k][k] == 0:
             continue
         for i in range(k + 1, n):
             if s[k][i] != 0:
-                add_col(i, k, -s[k][i] / s[k][k])
+                add_col(i, k, Fraction(-s[k][i], s[k][k]))
     return p, [s[i][i] for i in range(n)]
 
 
@@ -240,7 +240,7 @@ def diagonalize(q: QuadraticForm) -> tuple[Mat, list[Fraction]]:
 # Hilbert symbols and local solvability
 
 
-def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
+def _val_unit(x: Rat, p: int) -> tuple[int, Fraction]:
     v = 0
     num, den = x.numerator, x.denominator
     while num % p == 0:
@@ -288,7 +288,7 @@ def hilbert_symbol(a, b, place) -> int:
 
 def _is_square_in_qp(x: int, p: int) -> bool:
     """Whether the nonzero integer x is a square in the p-adic field."""
-    v, u = _val_unit(Fraction(x), p)
+    v, u = _val_unit(x, p)
     if v % 2:
         return False
     if p == 2:
@@ -360,7 +360,7 @@ class IsotropyVerdict:
     radical_basis: tuple[tuple[int, ...], ...] = ()
 
 
-def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[Fraction], list[int], list[int]]:
+def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[Rat], list[int], list[int]]:
     """Diagonalize and scale to a squarefree integer diagonal.
 
     Returns (P, diagonal, squarefree parts s_i, multipliers m_i) where a zero
@@ -730,7 +730,7 @@ def sample_points(
     vv = vec(v)
     if q.evaluate(vv) != 0:
         raise ValueError("base point does not lie on the quadric")
-    if all(x == 0 for x in mat_vec([list(r) for r in q.gram], vv)):
+    if all(x == 0 for x in mat_vec(q.gram, vv)):
         raise ValueError("base point lies in the radical; all secants degenerate")
     avoid_forms = [vec(l) for l in avoid]
     v_key = canonical_vector(vv)

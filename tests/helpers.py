@@ -25,6 +25,12 @@ SECTION_DECOY_CUBIC = Poly(3, {
 })
 
 
+def is_exact(*values) -> bool:
+    """Whether every value is an int or a Fraction.  Equality cannot tell a
+    float that slipped in (0.5 == Fraction(1, 2)); the type can."""
+    return all(type(v) in (int, Fraction) for v in values)
+
+
 def nonzero_vector(rng, n: int, hmax: int) -> tuple[int, ...]:
     """Random integer vector with entries in [-hmax, hmax], not all zero."""
     while True:

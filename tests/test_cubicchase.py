@@ -8,7 +8,6 @@ import pytest
 from nullcone.cubicchase import (
     ChaseEdge,
     Degeneracy,
-    SingularPointSearch,
     chase,
     inflection_test,
     is_singular_at,
@@ -284,9 +283,8 @@ def test_inflection_errors():
 
 def test_singular_point_found_nodal():
     got = ternary_singular_point(NODAL)
-    assert isinstance(got, SingularPointSearch)
-    assert got.exhaustive is True
-    assert canon(got.point) == (0, 0, 1)
+    assert isinstance(got, Divisor)
+    assert canon(got) == (0, 0, 1)
 
 
 def test_singular_point_conic_pair():
@@ -294,22 +292,19 @@ def test_singular_point_conic_pair():
     # distinct irreducible conics meeting at the singular point (1,1,1)
     form = IntersectionForm(3, {(0, 0, 0): 2, (1, 1, 1): 2, (2, 2, 2): 2, (0, 1, 2): -1})
     got = ternary_singular_point(form)
-    assert got.exhaustive is True
-    assert canon(got.point) == (1, 1, 1)
-    assert is_singular_at(form, got.point)
+    assert canon(got) == (1, 1, 1)
+    assert is_singular_at(form, got)
 
 
 def test_singular_point_none_by_anisotropy():
     # d/dx2 of 3 x2 (x0^2 + x1^2 - x2^2) is x0^2 + x1^2 - 3 x2^2, which has
     # no rational zeros: the singular locus is decided empty immediately
     form = IntersectionForm(3, {(0, 0, 2): 1, (1, 1, 2): 1, (2, 2, 2): -3})
-    got = ternary_singular_point(form)
-    assert got.point is None and got.exhaustive is True
+    assert ternary_singular_point(form) is None
 
 
 def test_singular_point_none_on_smooth_diagonal():
-    got = ternary_singular_point(DIAG3)
-    assert got.point is None and got.exhaustive is True
+    assert ternary_singular_point(DIAG3) is None
 
 
 def test_singular_point_errors():
@@ -331,7 +326,7 @@ def test_singular_point_agrees_with_is_singular_scan():
             v for v in iter_primitive_vectors(3, max_height=6)
             if form.cube(v) == 0 and form.square_class(v).is_zero
         ]
-        if got.point is None:
+        if got is None:
             assert brute == []
         else:
-            assert canon(got.point) in {canonical_vector(v) for v in brute}
+            assert canon(got) in {canonical_vector(v) for v in brute}

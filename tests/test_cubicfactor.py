@@ -19,6 +19,7 @@ from nullcone.quadpoints import QuadraticForm
 
 from helpers import (
     SECTION_DECOY_CUBIC,
+    is_exact,
     nonzero_vector,
     random_form,
     random_linear_poly,
@@ -209,6 +210,14 @@ def test_is_perfect_cube_linear():
     assert Poly.constant(3, scalar) * Poly.linear([frac(c) for c in l]) ** 3 == lin(
         [1, -2, 3]
     ) ** 3
+
+
+def test_is_perfect_cube_linear_of_integer_cube_is_exact():
+    # (2 x0 + x1)^3: the coordinate 1/2 and the scalar come from divisions
+    l, scalar = is_perfect_cube_linear(lin([2, 1]) ** 3)
+    assert l == (2, 1) and scalar == 1 and is_exact(scalar)
+    l, scalar = is_perfect_cube_linear(Poly.constant(2, 5) * lin([2, 1]) ** 3)
+    assert l == (2, 1) and scalar == 5 and type(scalar) is int
 
 
 def test_is_perfect_cube_linear_rejects():

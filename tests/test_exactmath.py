@@ -30,7 +30,7 @@ from nullcone.exactmath import (
     vec_dot,
 )
 
-from helpers import SECTION_DECOY_CUBIC, random_linear_poly, random_quadric_poly
+from helpers import SECTION_DECOY_CUBIC, is_exact, random_linear_poly, random_quadric_poly
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,19 @@ def test_frac_accepts_ints_strings_fractions():
 def test_frac_rejects_floats():
     with pytest.raises(TypeError):
         frac(0.5)
+    with pytest.raises(TypeError):
+        Poly.linear([0.5, 1])
+
+
+def test_frac_is_int_unless_fractional():
+    assert type(frac(Fraction(4, 2))) is int and frac(Fraction(4, 2)) == 2
+    assert type(frac("6/3")) is int and frac("6/3") == 2
+    # a bool is an int subclass: it must not come back as True/False
+    assert type(frac(True)) is int and str(frac(True)) == "1"
+    assert type(frac(False)) is int and str(frac(False)) == "0"
+    assert type(frac(7)) is int
+    assert type(frac("7/2")) is Fraction and type(frac(Fraction(1, 3))) is Fraction
+    assert [type(c) for c in Poly.linear([Fraction(2), 4]).terms.values()] == [int, int]
 
 
 def test_vec_dot():
@@ -124,6 +137,12 @@ def test_exact_divide_detects_nondivisor():
     assert exact_divide(SECTION_DECOY_CUBIC, Poly.linear([1, 1, 1])) is None
 
 
+def test_exact_divide_integer_input_gives_exact_quotient():
+    x0 = Poly.variable(1, 0)
+    q = exact_divide(x0 * x0, 2 * x0)
+    assert q == Poly.linear([Fraction(1, 2)]) and is_exact(*q.terms.values())
+
+
 # ---------------------------------------------------------------------------
 # roots and squares
 
@@ -152,6 +171,14 @@ def test_rational_roots_multiplicity():
     coeffs = [1, -3, 0, 4]
     roots = rational_roots([Fraction(c) for c in coeffs])
     assert sorted(roots) == [Fraction(-1), Fraction(2), Fraction(2)]
+
+
+def test_rational_roots_of_integer_coefficients_are_exact():
+    # the quadratic formula and the linear case divide integers
+    roots = rational_roots([4, 0, -1])
+    assert roots == [Fraction(-1, 2), Fraction(1, 2)] and is_exact(*roots)
+    roots = rational_roots([2, -1])
+    assert roots == [Fraction(1, 2)] and is_exact(*roots)
 
 
 def test_rational_roots_irrational_cubic():
@@ -215,6 +242,14 @@ def test_rref_pivots():
     m, pivots = rref([[frac(0), frac(2)], [frac(1), frac(1)]])
     assert pivots == [0, 1]
     assert m[0][0] == 1 and m[1][1] == 1 and m[0][1] == 0 and m[1][0] == 0
+
+
+def test_rref_and_mat_inv_of_integer_matrices_are_exact():
+    m, pivots = rref([[2, 1]])
+    assert m == [[1, Fraction(1, 2)]] and pivots == [0] and is_exact(*m[0])
+    inv = mat_inv([[2, 0], [0, 4]])
+    assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+    assert is_exact(*inv[0], *inv[1])
 
 
 def test_kernel_basis_full_rank_is_empty():

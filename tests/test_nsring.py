@@ -15,7 +15,7 @@ from nullcone.nsring import (
     validate_input,
 )
 
-from helpers import random_form, nonzero_vector
+from helpers import is_exact, random_form, nonzero_vector
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +37,24 @@ def test_divisor_normalizations():
     assert tuple(Divisor((-2, -4)).canonical().coords) == (1, 2)
     half = Divisor((Fraction(1, 2), Fraction(3, 2)))
     assert tuple(half.primitive().coords) == (1, 3)
+
+
+def test_integral_coordinates_are_held_as_ints():
+    assert [type(c) for c in Divisor((Fraction(2), 4)).coords] == [int, int]
+    assert [type(c) for c in Divisor(("6/3", True)).coords] == [int, int]
+    assert [type(c) for c in LinearClass((Fraction(3, 3), -1)).coords] == [int, int]
+    assert type(Divisor((Fraction(1, 2), 1)).coords[0]) is Fraction
+
+
+def test_constructors_reject_floats():
+    with pytest.raises(TypeError):
+        Divisor((0.5, 1))
+    with pytest.raises(TypeError):
+        LinearClass((1, 2.0))
+    with pytest.raises(TypeError):
+        IntersectionForm.diagonal([1, 1]).cube((1.0, 0))
+    with pytest.raises(ValueError):
+        IntersectionForm(1, {(0, 0, 0): 1.0})
 
 
 def test_linear_class_pair():
@@ -229,6 +247,10 @@ def test_nef_threshold_exact():
     assert t0 == 1
     boundary = tuple(x - t0 * y for x, y in zip(h.coords, d.coords))
     assert form.cube(boundary) == 0
+    # a non-integral threshold: t0 = h^3 / (3 d.h^2) = 2 / 3
+    form = IntersectionForm(2, {(0, 1, 1): 1, (1, 1, 1): 2})
+    t0 = nef_threshold(form, Divisor((0, 1)), Divisor((1, 0)))
+    assert t0 == Fraction(2, 3) and is_exact(t0)
 
 
 def test_nef_threshold_requires_nu1():

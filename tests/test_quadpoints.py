@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nullcone.exactmath import factorint, vec_dot
+from nullcone.exactmath import Poly, factorint, vec_dot
 from nullcone.quadpoints import (
     InsufficientPoints,
     IsotropyKind,
@@ -21,6 +21,8 @@ from nullcone.quadpoints import (
     squarefree_part,
     squarefree_split,
 )
+
+from helpers import is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,19 @@ def test_diagonalize_zero_diagonal_path():
     q = QuadraticForm(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
     p, diag = diagonalize(q)
     assert sorted(x > 0 for x in diag) == [False, True]
+
+
+def test_diagonalize_and_from_poly_of_integer_input_are_exact():
+    p, diag = diagonalize(QuadraticForm(((2, 1), (1, 2))))
+    assert diag == [2, Fraction(3, 2)]
+    assert is_exact(*diag, *p[0], *p[1])
+    # x0 x1 has the half-integer off-diagonal Gram entry 1/2
+    q = QuadraticForm.from_poly(Poly.variable(2, 0) * Poly.variable(2, 1))
+    assert q.gram == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
+    assert is_exact(*q.gram[0], *q.gram[1])
+    assert [type(x) for x in QuadraticForm.from_diagonal([Fraction(4, 2), 1]).gram[0]] == [int, int]
+    with pytest.raises(TypeError):
+        QuadraticForm.from_diagonal([0.5, 1])
 
 
 def test_radical():
