@@ -58,7 +58,6 @@ from .quadpoints import (
     IsotropyVerdict,
     QuadraticForm,
     ResidualPoint,
-    SearchExhausted,
     hilbert_symbol,
     is_isotropic,
     isotropic_vector,
@@ -88,7 +87,6 @@ __all__ = [
     "Poly",
     "QuadraticForm",
     "ResidualPoint",
-    "SearchExhausted",
     "canonical_vector",
     "certify",
     "chase",

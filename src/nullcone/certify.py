@@ -28,7 +28,6 @@ from .quadpoints import (
     InsufficientPoints,
     IsotropyKind,
     QuadraticForm,
-    SearchExhausted,
     isotropic_vector,
     sample_points,
 )
@@ -92,7 +91,6 @@ class Assumptions:
 class Options:
     depth: int = 3
     budget: int = 500
-    max_height: int = 1000
     seed: int = 0
 
 
@@ -215,11 +213,7 @@ class _Pipeline:
         form, c2 = self.form, self.c2
         lin = fac.linears[0]
         quad = fac.quadric
-        try:
-            verdict = isotropic_vector(quad, self.opts.max_height)
-        except SearchExhausted as exc:
-            self.warnings.append(f"constructive point search gave out: {exc}")
-            return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
+        verdict = isotropic_vector(quad)
         if verdict.kind is IsotropyKind.DEGENERATE:
             for r in verdict.radical_basis:
                 if form.numerical_dimension(r) == 1:

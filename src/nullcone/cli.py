@@ -31,7 +31,7 @@ from .nsring import (
     nef_threshold,
     positivity_flags,
 )
-from .quadpoints import IsotropyKind, QuadraticForm, SearchExhausted, isotropic_vector
+from .quadpoints import IsotropyKind, QuadraticForm, isotropic_vector
 
 
 class InputError(ValueError):
@@ -305,7 +305,6 @@ def _options_from_args(args) -> Options:
     return Options(
         depth=args.depth,
         budget=args.budget,
-        max_height=args.max_height,
         seed=args.seed,
     )
 
@@ -401,7 +400,7 @@ def _parse_form_spec(spec: str) -> QuadraticForm:
 
 def _cmd_qpoint(args) -> int:
     q = _parse_form_spec(args.form)
-    verdict = isotropic_vector(q, args.height_bound)
+    verdict = isotropic_vector(q)
     lines = [f"kind: {verdict.kind.value}"]
     if verdict.kind is IsotropyKind.ISOTROPIC:
         lines.append(f"witness: {_vec_str(verdict.witness)}")
@@ -535,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--ample", help="name of an ample reference divisor H")
     p_cert.add_argument("--depth", type=int, default=3)
     p_cert.add_argument("--budget", type=int, default=500)
-    p_cert.add_argument("--max-height", type=int, default=1000, dest="max_height")
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--format", choices=("json", "text"), default="text")
     p_cert.set_defaults(func=_cmd_certify)
@@ -556,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="diagonal entries 'a,b,c' or a JSON Gram matrix [[...], ...]",
     )
-    p_qp.add_argument("--height-bound", type=int, default=10**6, dest="height_bound")
     p_qp.set_defaults(func=_cmd_qpoint)
 
     p_ch = sub.add_parser("chase", help="walk the null cone looking for c2 != 0")
@@ -583,7 +580,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SearchExhausted) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

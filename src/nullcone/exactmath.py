@@ -331,7 +331,7 @@ def _one_rational_root(coeffs: list[Rat]) -> Rat | None:
     of degree 1 or at least 3 (`rational_roots` solves quadratics itself)."""
     deg = len(coeffs) - 1
     if deg == 1:
-        return Fraction(-coeffs[1], coeffs[0])
+        return frac(Fraction(-coeffs[1], coeffs[0]))
     if coeffs[-1] == 0:
         return 0
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -340,13 +340,14 @@ def _one_rational_root(coeffs: list[Rat]) -> Rat | None:
     ints = [c // content for c in ints]
     for p in _divisors(ints[-1]):
         for q in _divisors(ints[0]):
-            cand = Fraction(p, q)
-            for root in (cand, -cand):
-                val = 0
-                for c in ints:
-                    val = val * root + c
+            for num in (p, -p):
+                # q^deg f(num/q) = sum c_i num^(deg-i) q^i, by Horner in num
+                val, q_pow = ints[0], 1
+                for c in ints[1:]:
+                    q_pow *= q
+                    val = val * num + c * q_pow
                 if val == 0:
-                    return root
+                    return frac(Fraction(num, q))
     return None
 
 
@@ -366,7 +367,7 @@ def rational_roots(coeffs: Sequence) -> list[Rat]:
             s = is_perfect_square(b * b - 4 * a * c)
             if s is None:
                 break
-            roots.extend([Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)])
+            roots.extend([frac(Fraction(-b + s, 2 * a)), frac(Fraction(-b - s, 2 * a))])
             break
         r = _one_rational_root(cs)
         if r is None:
@@ -409,12 +410,12 @@ def mat_inv(a: Mat) -> Mat:
         if piv is None:
             raise ValueError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, aug[col][col])
-        aug[col] = [x * inv for x in aug[col]]
+        lead = aug[col][col]
+        aug[col] = [frac(Fraction(x, lead)) for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+                aug[r] = [frac(x - f * y) for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
 
@@ -433,12 +434,12 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1, m[r][col])
-        m[r] = [x * inv for x in m[r]]
+        lead = m[r][col]
+        m[r] = [frac(Fraction(x, lead)) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [frac(x - f * y) for x, y in zip(m[i], m[r])]
         pivots.append(col)
         r += 1
         if r == len(m):

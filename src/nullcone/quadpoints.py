@@ -33,10 +33,6 @@ from .exactmath import (
 )
 
 
-class SearchExhausted(RuntimeError):
-    """A bounded constructive search ran out of budget without an answer."""
-
-
 class InsufficientPoints(RuntimeError):
     """Point sampling could not reach the requested count within its bound."""
 
@@ -199,11 +195,11 @@ def diagonalize(q: QuadraticForm) -> tuple[Mat, list[Rat]]:
 
     def add_col(dst: int, src: int, c: Rat):
         for r in range(n):
-            s[r][dst] += c * s[r][src]
+            s[r][dst] = frac(s[r][dst] + c * s[r][src])
         for r in range(n):
-            s[dst][r] += c * s[src][r]
+            s[dst][r] = frac(s[dst][r] + c * s[src][r])
         for r in range(n):
-            p[r][dst] += c * p[r][src]
+            p[r][dst] = frac(p[r][dst] + c * p[r][src])
 
     def swap(i: int, j: int):
         for r in range(n):
@@ -232,7 +228,7 @@ def diagonalize(q: QuadraticForm) -> tuple[Mat, list[Rat]]:
             continue
         for i in range(k + 1, n):
             if s[k][i] != 0:
-                add_col(i, k, Fraction(-s[k][i], s[k][k]))
+                add_col(i, k, frac(Fraction(-s[k][i], s[k][k])))
     return p, [s[i][i] for i in range(n)]
 
 
@@ -494,22 +490,13 @@ def _lagrange(a: int, b: int) -> tuple[int, int, int]:
     return (u // g, v // g, w // g)
 
 
-#: Coefficient size past which bounded searches on a diagonal form are futile:
-#: a zero would need massive cancellation, so the solver fails fast instead.
-_TAME_COEFFICIENT_LIMIT = 10**6
-
-
-def _dense_zero_search(
-    gram: list[list[int]], height_bound: int, budget: int
-) -> tuple[int, ...] | None:
+def _dense_zero_search(gram: list[list[int]], budget: int) -> tuple[int, ...] | None:
     """Bounded direct search for a nontrivial zero of an integer Gram matrix.
 
     Enumerates primitive assignments of all-but-one coordinate by increasing
     height and solves the remaining coordinate exactly; a rational root is
-    accepted by scaling the whole vector.  This finds every projective zero
-    whose complement of one coordinate is proportional to a vector within the
-    height bound.  Budget counts coordinate solves; returns None when it runs
-    out.
+    accepted by scaling the whole vector.  Budget counts coordinate solves;
+    returns None when it runs out.
     """
     n = len(gram)
     for i in range(n):
@@ -521,7 +508,7 @@ def _dense_zero_search(
         return None
     others = [tuple(j for j in range(n) if j != pos) for pos in range(n)]
     evals = 0
-    for v in iter_primitive_vectors(n - 1, max_height=height_bound):
+    for v in iter_primitive_vectors(n - 1):
         evals += n
         if evals > budget:
             return None
@@ -558,118 +545,82 @@ def _dense_zero_search(
     return None
 
 
-def _solve_squarefree_diagonal(s: list[int], height_bound: int) -> tuple[int, ...]:
-    """A nontrivial integer zero of sum s_i w_i^2 (squarefree diagonal,
-    known isotropic).  Raises SearchExhausted if every constructive route
-    and the bounded fallback fail."""
+def _hyperbolic_pair(s: Sequence[int]) -> tuple[int, ...] | None:
+    """e_i + e_j for the first pair with s_i = -s_j, else None."""
+    for i, j in itertools.combinations(range(len(s)), 2):
+        if s[i] == -s[j]:
+            w = [0] * len(s)
+            w[i] = w[j] = 1
+            return tuple(w)
+    return None
+
+
+def _diagonal_zero(s: list[int]) -> tuple[int, ...]:
+    """A primitive nontrivial zero of sum s_i w_i^2 (squarefree diagonal,
+    known isotropic), by exact construction with no search budget.
+
+    Rank 3 is the ternary descent; rank > 5 solves an indefinite rank-5
+    subform.  Rank 4 or 5 splits as <s_0, s_1> + rest and joins the parts by
+    the first squarefree u (in the order 1, -1, 2, -2, 3, ...) that
+    s_0 x^2 + s_1 y^2 represents and -rest represents: a zero a of
+    <s_0, s_1, -u> and a zero b of rest + <u> give (a_0 b_u, a_1 b_u, a_2 b').
+    The scan ends: the rational zeros of an isotropic quadric of rank >= 3 are
+    Zariski dense, so one has s_0 x_0^2 + s_1 x_1^2 != 0, and the squarefree
+    part of that value is a valid u (Cassels, Rational Quadratic Forms, ch. 6).
+    """
+    pair = _hyperbolic_pair(s)
+    if pair is not None:
+        return pair
     r = len(s)
-    for i in range(r):
-        for j in range(i + 1, r):
-            if s[i] == -s[j]:
-                w = [0] * r
-                w[i] = w[j] = 1
-                return tuple(w)
     if r == 2:
         raise AssertionError("an isotropic squarefree binary form is a hyperbolic pair")
     if r == 3:
-        return _ternary_descent(s[0], s[1], s[2])
+        return _ternary_descent(*s)
     if r > 5:
         order = sorted(range(r), key=lambda i: (abs(s[i]), i))
         pos = next(i for i in order if s[i] > 0)
         neg = next(i for i in order if s[i] < 0)
-        chosen = [pos, neg] + [i for i in order if i not in (pos, neg)][:3]
-        chosen.sort()
-        sub = _solve_squarefree_diagonal([s[i] for i in chosen], height_bound)
+        chosen = sorted([pos, neg] + [i for i in order if i not in (pos, neg)][:3])
         w = [0] * r
-        for idx, val in zip(chosen, sub):
-            w[idx] = val
+        for i, val in zip(chosen, _diagonal_zero([s[i] for i in chosen])):
+            w[i] = val
         return tuple(w)
-    # rank 4 or 5: try smaller isotropic subforms first
-    for size in (3, 4):
-        if size >= r:
-            break
-        for combo in itertools.combinations(range(r), size):
-            sub = [s[i] for i in combo]
-            if _local_obstruction(sub) is None:
-                try:
-                    part = _solve_squarefree_diagonal(sub, height_bound)
-                except SearchExhausted:
-                    continue
-                w = [0] * r
-                for idx, val in zip(combo, part):
-                    w[idx] = val
-                return tuple(w)
-    # bounded searches only pay off while the coefficients stay moderate; a
-    # zero of a huge diagonal needs cancellation far beyond any small box
-    if max(abs(c) for c in s) <= _TAME_COEFFICIENT_LIMIT:
-        # meet in the middle on a 2 + (r-2) split
-        a_pair = (s[0], s[1])
-        rest = s[2:]
-        bound_b = 4
-        table_bound = None
-        while bound_b <= 64:
-            bound_a = min(height_bound, bound_b * bound_b * 4, 512)
-            # bound_a stops growing at its cap; the table depends on it alone
-            if bound_a != table_bound:
-                table_bound = bound_a
-                table: dict[int, tuple[int, int]] = {}
-                for x in range(0, bound_a + 1):
-                    for y in range(-bound_a, bound_a + 1):
-                        if x == 0 and y <= 0:
-                            continue
-                        val = a_pair[0] * x * x + a_pair[1] * y * y
-                        if val != 0:
-                            table.setdefault(val, (x, y))
-            rng = range(-bound_b, bound_b + 1)
-            for tail in itertools.product(rng, repeat=len(rest)):
-                if all(t == 0 for t in tail):
-                    continue
-                val = sum(c * t * t for c, t in zip(rest, tail))
-                hit = table.get(-val)
-                if hit is not None:
-                    w = (hit[0], hit[1]) + tail
-                    g = math.gcd(*w)
-                    return tuple(x // g for x in w)
-            bound_b *= 2
-        # last resort: fix all but one coordinate, solve the last exactly
-        diag_gram = [[s[i] if i == j else 0 for j in range(r)] for i in range(r)]
-        w = _dense_zero_search(diag_gram, min(height_bound, 60), 60_000)
-        if w is not None:
-            g = math.gcd(*w)
-            return tuple(x // g for x in w)
-    raise SearchExhausted(
-        f"no zero of the diagonal form {s} found within the search budget"
+    rest = s[2:]
+    # the first squarefree u of 1, -1, 2, -2, 3, -3, 5, ... that joins the parts
+    u = next(
+        u for k in itertools.count(1) if squarefree_part(k) == k for u in (k, -k)
+        if _local_obstruction([s[0], s[1], -u]) is None
+        and _local_obstruction(rest + [u]) is None
     )
+    a = _ternary_descent(s[0], s[1], -u)
+    b = _diagonal_zero(rest + [u])
+    # s_0 != -s_1, so a_2 != 0 and the joined vector is nonzero
+    w = (a[0] * b[-1], a[1] * b[-1]) + tuple(a[2] * x for x in b[:-1])
+    g = math.gcd(*w)
+    return tuple(x // g for x in w)
 
 
-def isotropic_vector(q: QuadraticForm, height_bound: int = 10**6) -> IsotropyVerdict:
+def isotropic_vector(q: QuadraticForm) -> IsotropyVerdict:
     """Like is_isotropic, but an isotropic verdict carries an explicit witness.
 
-    The witness comes from the diagonalized form when its coefficients stay
-    moderate; otherwise (diagonalization can inflate a dense Gram matrix
-    enormously) a direct height-ordered search on the original form takes
-    over, since small zeros of the input need not be small in the skew basis.
+    A hyperbolic pair of the squarefree diagonal gives the witness at once,
+    and rank 3 takes the ternary descent.  From rank 4 on, a height-ordered
+    search on the original Gram matrix comes first, since small zeros of the
+    input need not be small in the diagonal basis; if its budget runs out,
+    `_diagonal_zero` constructs one.  Every isotropic form gets a witness.
     """
     base, split = _decide_isotropy(q)
     if base.kind is not IsotropyKind.ISOTROPIC:
         return base
     p, _, s_parts, mults = split
-    try:
-        w = _solve_squarefree_diagonal(list(s_parts), height_bound)
-    except SearchExhausted:
+    x = None
+    if len(s_parts) >= 4 and _hyperbolic_pair(s_parts) is None:
         den = math.lcm(*(e.denominator for row in q.gram for e in row))
-        gram = [[int(e * den) for e in row] for row in q.gram]
-        direct = _dense_zero_search(gram, height_bound, 300_000)
-        if direct is None:
-            raise SearchExhausted(
-                "no isotropic vector found within the search budget"
-            ) from None
-        x = canonical_vector(direct)
-        if q.evaluate(x) != 0:
-            raise AssertionError("isotropic witness failed verification")
-        return IsotropyVerdict(IsotropyKind.ISOTROPIC, witness=x)
-    y = [m * wi for m, wi in zip(mults, w)]
-    x = canonical_vector(mat_vec(p, y))
+        x = _dense_zero_search([[int(e * den) for e in row] for row in q.gram], 300_000)
+    if x is None:
+        w = _diagonal_zero(s_parts)
+        x = mat_vec(p, [m * wi for m, wi in zip(mults, w)])
+    x = canonical_vector(x)
     if q.evaluate(x) != 0:
         raise AssertionError("isotropic witness failed verification")
     return IsotropyVerdict(IsotropyKind.ISOTROPIC, witness=x)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from nullcone.exactmath import Poly, frac, mat_inv
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
+from nullcone.quadpoints import QuadraticForm, diagonalize
 
 
 # (7x0 - 9x1 + 7x2) times a quadric: the candidate (1, 1, 1) passes the
@@ -100,6 +101,36 @@ def plant_null_form(rng, n: int, hmax: int):
         assert form.cube(d) == 0
         if form.numerical_dimension(d) >= 2:
             return form, tuple(d)
+
+
+def plant_reducible_form(rng, n: int, qmax: int = 30, lmax: int = 3):
+    """The form of the cubic 6 L Q, with L a linear form with a unit pivot and
+    Q a dense nondegenerate indefinite integer Gram matrix, together with an
+    integer point D on L = 0 with Q(D) != 0 (so T(D, D, .) = 2 Q(D) L != 0)."""
+    while True:
+        lin = [rng.randint(-lmax, lmax) for _ in range(n)]
+        pivot = rng.randrange(n)
+        lin[pivot] = 1
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-qmax, qmax)
+        q = QuadraticForm(tuple(tuple(row) for row in gram))
+        _, diag = diagonalize(q)
+        if any(x == 0 for x in diag) or all(x > 0 for x in diag) or all(x < 0 for x in diag):
+            continue
+        d = [rng.randint(-2, 2) for _ in range(n)]
+        d[pivot] = 0
+        d[pivot] = -sum(a * b for a, b in zip(lin, d))
+        if not any(d) or q.evaluate(d) == 0:
+            continue
+        # T(e_i, e_j, e_k) of 6 L Q is the symmetrization 2 (L_i Q_jk + L_j Q_ik + L_k Q_ij)
+        entries = {}
+        for i, j, k in sorted_triples(n):
+            v = 2 * (lin[i] * gram[j][k] + lin[j] * gram[i][k] + lin[k] * gram[i][j])
+            if v:
+                entries[(i, j, k)] = v
+        return IntersectionForm(n, entries), tuple(d)
 
 
 def annihilator_c2(rng, d, sq) -> LinearClass:

@@ -343,10 +343,9 @@ def test_chase_ends_when_the_only_tangent_direction_is_the_point(name, capsys):
     assert "witness: (none)" in capsys.readouterr().out
 
 
-def test_qpoint_search_exhausted_is_an_error(capsys):
-    assert main(["qpoint", "--form", "2,-263,79426,541939,-20625983",
-                 "--height-bound", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: no isotropic vector found")
+def test_qpoint_large_diagonal_gets_a_witness(capsys):
+    assert main(["qpoint", "--form", "2,-263,79426,541939,-20625983"]) == 0
+    assert "value_at_witness: 0" in capsys.readouterr().out
 
 
 def test_internal_assertion_is_an_error(monkeypatch, capsys):

@@ -179,6 +179,11 @@ def test_rational_roots_of_integer_coefficients_are_exact():
     assert roots == [Fraction(-1, 2), Fraction(1, 2)] and is_exact(*roots)
     roots = rational_roots([2, -1])
     assert roots == [Fraction(1, 2)] and is_exact(*roots)
+    # integral roots are ints, from the quadratic formula and the cubic search
+    assert [type(r) for r in rational_roots([1, 0, -1])] == [int, int]
+    roots = rational_roots([2, -1, -2, 1])
+    assert roots == [-1, Fraction(1, 2), 1]
+    assert [type(r) for r in roots] == [int, Fraction, int]
 
 
 def test_rational_roots_irrational_cubic():
@@ -244,12 +249,25 @@ def test_rref_pivots():
     assert m[0][0] == 1 and m[1][1] == 1 and m[0][1] == 0 and m[1][0] == 0
 
 
+def _types(rows):
+    return [[type(x) for x in row] for row in rows]
+
+
 def test_rref_and_mat_inv_of_integer_matrices_are_exact():
+    # integral entries are ints, fractional ones Fractions
     m, pivots = rref([[2, 1]])
-    assert m == [[1, Fraction(1, 2)]] and pivots == [0] and is_exact(*m[0])
+    assert m == [[1, Fraction(1, 2)]] and pivots == [0]
+    assert _types(m) == [[int, Fraction]]
+    m, pivots = rref([[2, 4, 1], [1, 3, 1]])
+    assert m == [[1, 0, Fraction(-1, 2)], [0, 1, Fraction(1, 2)]] and pivots == [0, 1]
+    assert _types(m) == [[int, int, Fraction], [int, int, Fraction]]
     inv = mat_inv([[2, 0], [0, 4]])
     assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
-    assert is_exact(*inv[0], *inv[1])
+    assert _types(inv) == [[Fraction, int], [int, Fraction]]
+    # a unimodular matrix: the elimination passes through halves, the
+    # inverse is integral
+    inv = mat_inv([[2, 1], [1, 1]])
+    assert inv == [[1, -1], [-1, 2]] and _types(inv) == [[int, int], [int, int]]
 
 
 def test_kernel_basis_full_rank_is_empty():
@@ -350,9 +368,15 @@ def test_iter_kernel_primitives_order_and_membership():
 
 @functools.cache
 def _box(n, max_height):
-    """The nonzero integer vectors of height <= max_height, by (height, spiral-lex)."""
+    """The nonzero integer vectors of height <= max_height, by (height, spiral-lex).
+
+    The key is (height, spiral_key) written in plain ints: the coordinate x
+    ranks as 2|x| + (x < 0), so 0 < 1 < -1 < 2 < -2 < ..."""
     box = itertools.product(range(-max_height, max_height + 1), repeat=n)
-    return tuple(sorted((v for v in box if any(v)), key=lambda v: (height(v), spiral_key(v))))
+    return tuple(sorted(
+        (v for v in box if any(v)),
+        key=lambda v: (max(map(abs, v)), [2 * abs(x) + (x < 0) for x in v]),
+    ))
 
 
 def _primitive_box(n, max_height):

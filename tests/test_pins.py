@@ -18,12 +18,14 @@ from helpers import (
     SECTION_DECOY_CUBIC,
     annihilator_c2,
     plant_null_form,
+    plant_reducible_form,
     random_linear_poly,
     random_quadric_poly,
 )
 
 PLANTED_CERTIFICATES_SHA256 = "2a945233b3a05a240d84cede099f6a5bc1949fb8e1b1dd4ccc7f4a314aada11e"
 FACTOR_RESULTS_SHA256 = "bd9cbaa43353345e2d811c9be900d1d08d288b292517111f9ecb5651619ef770"
+REDUCIBLE_CERTIFICATES_SHA256 = "edfafbac45f5a7be3882f03efcf23960d0acdaa591e29a7e486ef2e75233022c"
 
 
 def _sha256(text: str) -> str:
@@ -41,6 +43,21 @@ def test_planted_certificates_pinned():
             c2 = annihilator_c2(rng, d, form.square_class(d).coords)
             rendered.append(render_json(certify(form, c2, d)))
     assert _sha256("".join(rendered)) == PLANTED_CERTIFICATES_SHA256
+
+
+def test_reducible_certificates_pinned():
+    # three cubics 6 L Q per rank 5..8, c2 . D = 0, so each one goes through
+    # the factorization, the isotropic vector of Q and the secant sampling
+    rng = random.Random(511)
+    rendered = []
+    for n in range(5, 9):
+        for _ in range(3):
+            form, d = plant_reducible_form(rng, n)
+            c2 = annihilator_c2(rng, d, form.square_class(d).coords)
+            cert = certify(form, c2, d)
+            assert cert.rule == "thm_main_reducible"
+            rendered.append(render_json(cert))
+    assert _sha256("".join(rendered)) == REDUCIBLE_CERTIFICATES_SHA256
 
 
 def test_factor_results_pinned():

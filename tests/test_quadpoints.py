@@ -7,10 +7,11 @@ import pytest
 
 from nullcone.exactmath import Poly, factorint, vec_dot
 from nullcone.quadpoints import (
+    _diagonal_zero,
+    _local_obstruction,
     InsufficientPoints,
     IsotropyKind,
     QuadraticForm,
-    SearchExhausted,
     diagonalize,
     hilbert_symbol,
     is_isotropic,
@@ -133,8 +134,9 @@ def test_diagonalize_zero_diagonal_path():
 
 def test_diagonalize_and_from_poly_of_integer_input_are_exact():
     p, diag = diagonalize(QuadraticForm(((2, 1), (1, 2))))
-    assert diag == [2, Fraction(3, 2)]
-    assert is_exact(*diag, *p[0], *p[1])
+    assert diag == [2, Fraction(3, 2)] and p == [[1, Fraction(-1, 2)], [0, 1]]
+    assert [type(x) for x in diag] == [int, Fraction]
+    assert [[type(x) for x in row] for row in p] == [[int, Fraction], [int, int]]
     # x0 x1 has the half-integer off-diagonal Gram entry 1/2
     q = QuadraticForm.from_poly(Poly.variable(2, 0) * Poly.variable(2, 1))
     assert q.gram == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
@@ -223,6 +225,71 @@ def test_isotropic_vector_on_anisotropic_returns_verdict():
     assert v.kind is IsotropyKind.ANISOTROPIC and v.witness is None
 
 
+def test_diagonal_zero_on_squarefree_diagonals():
+    # the exact construction alone, with no search in front of it: ranks 4-6
+    # (rank 6 goes through a rank-5 subform, ranks 4 and 5 through the split)
+    rng = random.Random(61)
+    squarefree = [k for k in range(1, 1001) if squarefree_part(k) == k]
+    found = 0
+    while found < 30:
+        s = [rng.choice(squarefree) * rng.choice((1, -1)) for _ in range(rng.randint(4, 6))]
+        if _local_obstruction(s) is not None:
+            continue
+        w = _diagonal_zero(s)
+        assert any(w)
+        assert sum(c * x * x for c, x in zip(s, w)) == 0
+        found += 1
+
+
+def _criterion_03_forms():
+    # the 100 nondegenerate indefinite rank-5 Gram matrices of acceptance
+    # criterion 03, drawn by the same generator
+    rng = random.Random(103)
+    forms = []
+    while len(forms) < 100:
+        gram = [[0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                gram[i][j] = gram[j][i] = rng.randint(-30, 30)
+        q = QuadraticForm(tuple(tuple(row) for row in gram))
+        _, diag = diagonalize(q)
+        if any(d == 0 for d in diag):
+            continue
+        if all(d > 0 for d in diag) or all(d < 0 for d in diag):
+            continue
+        forms.append(q)
+    return forms
+
+
+def test_criterion_03_witnesses_are_small():
+    # the search on the Gram matrix finds small zeros of the input itself,
+    # which the diagonal basis would inflate
+    for q in _criterion_03_forms():
+        w = isotropic_vector(q).witness
+        assert q.evaluate(w) == 0
+        assert max(abs(x) for x in w).bit_length() <= 8, w
+
+
+def test_isotropic_vector_without_the_search_uses_the_split(monkeypatch):
+    # when the Gram-matrix search gives out, the exact construction on the
+    # squarefree diagonal lifts back to a zero of the original dense form
+    monkeypatch.setattr("nullcone.quadpoints._dense_zero_search", lambda gram, budget: None)
+    rng = random.Random(62)
+    found = 0
+    while found < 20:
+        n = rng.randint(4, 6)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        q = QuadraticForm(tuple(tuple(row) for row in gram))
+        if is_isotropic(q).kind is not IsotropyKind.ISOTROPIC:
+            continue
+        w = isotropic_vector(q).witness
+        assert any(w) and q.evaluate(w) == 0
+        found += 1
+
+
 def test_nondiagonal_isotropic():
     # 2 x y: zero at (1, 0)
     q = QuadraticForm(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
@@ -282,8 +349,3 @@ def test_sample_points_insufficient():
     q = QuadraticForm.from_diagonal([1, -1])
     with pytest.raises(InsufficientPoints):
         sample_points(q, (1, 1), 5, max_directions=50)
-
-
-def test_search_exhausted_is_raisable():
-    with pytest.raises(SearchExhausted):
-        raise SearchExhausted("marker")
