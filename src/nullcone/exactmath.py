@@ -206,24 +206,34 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
 
     Plain lex division: whenever g | f the leading term of every partial
     remainder is divisible by the leading term of g, so a single failed
-    reduction step proves non-divisibility.
+    reduction step proves non-divisibility.  The remainder is one dict,
+    updated in place term by term; the quotient Poly is built at the end.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.nvars != g.nvars:
         raise ValueError("variable-count mismatch")
     le_g, lc_g = _leading(g)
-    q = Poly.zero(f.nvars)
-    r = f
-    while not r.is_zero:
-        le_r, lc_r = _leading(r)
+    g_tail = [(e, c) for e, c in g.terms.items() if e != le_g]
+    q: dict[Exponent, Rat] = {}
+    r = dict(f.terms)
+    while r:
+        le_r = max(r)
+        lc_r = r.pop(le_r)
         e = tuple(a - b for a, b in zip(le_r, le_g))
         if any(k < 0 for k in e):
             return None
-        t = Poly(f.nvars, {e: Fraction(lc_r, lc_g)})
-        q = q + t
-        r = r - t * g
-    return q
+        c = frac(Fraction(lc_r, lc_g))
+        q[e] = c
+        # r -= c x^e g; its leading term cancels lc_r exactly
+        for eg, cg in g_tail:
+            m = tuple(a + b for a, b in zip(e, eg))
+            v = r.get(m, 0) - c * cg
+            if v:
+                r[m] = v
+            else:
+                del r[m]
+    return Poly(f.nvars, q)
 
 
 # ---------------------------------------------------------------------------

@@ -187,49 +187,74 @@ def radical(q: QuadraticForm) -> list[tuple[int, ...]]:
     return kernel_basis([list(r) for r in q.gram])
 
 
-def diagonalize(q: QuadraticForm) -> tuple[Mat, list[Rat]]:
-    """Congruence transform P with P^T S P diagonal; returns (P, diagonal)."""
+def _integral_gram(q: QuadraticForm) -> tuple[int, list[list[int]]]:
+    """(den, den S): the Gram matrix scaled by the lcm of its denominators."""
+    den = math.lcm(*(e.denominator for row in q.gram for e in row))
+    return den, [[int(e * den) for e in row] for row in q.gram]
+
+
+def diagonalize(q: QuadraticForm) -> tuple[list[list[int]], list[Rat]]:
+    """Congruence transform P with P^T S P diagonal; returns (P, diagonal).
+
+    Fraction-free (Bareiss-style): elimination runs on A = den S, den the lcm
+    of the Gram denominators, and keeps A = P^T (den S) P with P integral.
+    Pivot k updates col_i <- |a_kk| col_i - sgn(a_kk) a_ki col_k, then divides
+    P's column i by its content and A's row and column i to match, exactly.
+    Every multiplier is positive, so each column of P is a positive multiple
+    of the column that rational elimination (col_i -= a_ki / a_kk col_k)
+    gives: the same pivots, diagonal signs and squarefree parts.  P is
+    invertible, so the form is degenerate exactly when a diagonal entry is 0.
+    """
     n = q.nvars
-    s = [list(row) for row in q.gram]
+    den, a = _integral_gram(q)
     p = mat_identity(n)
 
-    def add_col(dst: int, src: int, c: Rat):
-        for r in range(n):
-            s[r][dst] = frac(s[r][dst] + c * s[r][src])
-        for r in range(n):
-            s[dst][r] = frac(s[dst][r] + c * s[src][r])
-        for r in range(n):
-            p[r][dst] = frac(p[r][dst] + c * p[r][src])
+    def combine(dst: int, alpha: int, src: int, beta: int):
+        # col_dst <- alpha col_dst + beta col_src, as a congruence of A
+        for row in a:
+            row[dst] = alpha * row[dst] + beta * row[src]
+        a[dst] = [alpha * x + beta * y for x, y in zip(a[dst], a[src])]
+        for row in p:
+            row[dst] = alpha * row[dst] + beta * row[src]
+        g = math.gcd(*(row[dst] for row in p))
+        if g > 1:
+            for row in p:
+                row[dst] //= g
+            for row in a:
+                row[dst] //= g
+            a[dst] = [x // g for x in a[dst]]
 
     def swap(i: int, j: int):
-        for r in range(n):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        s[i], s[j] = s[j], s[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        a[i], a[j] = a[j], a[i]
+        for row in p:
+            row[i], row[j] = row[j], row[i]
 
     for k in range(n):
-        if s[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if s[i][i] != 0), None)
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
             if piv is not None:
                 swap(k, piv)
             else:
                 pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if s[i][j] != 0),
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
                     None,
                 )
                 if pair is None:
                     continue
                 i, j = pair
-                add_col(i, j, 1)
+                combine(i, 1, j, 1)
                 if i != k:
                     swap(k, i)
-        if s[k][k] == 0:
+        akk = a[k][k]
+        if akk == 0:
             continue
+        sgn = 1 if akk > 0 else -1
         for i in range(k + 1, n):
-            if s[k][i] != 0:
-                add_col(i, k, frac(Fraction(-s[k][i], s[k][k])))
-    return p, [s[i][i] for i in range(n)]
+            if a[k][i] != 0:
+                combine(i, abs(akk), k, -sgn * a[k][i])
+    return p, [frac(Fraction(a[i][i], den)) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +381,16 @@ class IsotropyVerdict:
     radical_basis: tuple[tuple[int, ...], ...] = ()
 
 
-def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[Rat], list[int], list[int]]:
+def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[Rat], list[int], list[int]] | None:
     """Diagonalize and scale to a squarefree integer diagonal.
 
     Returns (P, diagonal, squarefree parts s_i, multipliers m_i) where a zero
-    w of sum s_i w_i^2 lifts to the original form via y_i = m_i w_i, x = P y.
+    w of sum s_i w_i^2 lifts to the original form via y_i = m_i w_i, x = P y;
+    None when a diagonal entry is 0, that is, when the form is degenerate.
     """
     p, diag = diagonalize(q)
+    if 0 in diag:
+        return None
     # y_i = den_i z_i turns the form into sum (num_i den_i) z_i^2 over the
     # integers; writing num_i den_i = s_i t_i^2 and z_i = (T / t_i) w_i with
     # T = lcm(t_i) clears every square part at once.
@@ -381,10 +409,9 @@ def _decide_isotropy(q: QuadraticForm) -> tuple[IsotropyVerdict, tuple | None]:
     from (None for a degenerate form)."""
     if q.is_zero:
         raise ValueError("the zero form is not a valid quadric")
-    rad = radical(q)
-    if rad:
-        return IsotropyVerdict(IsotropyKind.DEGENERATE, radical_basis=tuple(rad)), None
     split = _squarefree_diagonal(q)
+    if split is None:
+        return IsotropyVerdict(IsotropyKind.DEGENERATE, radical_basis=tuple(radical(q))), None
     obstruction = _local_obstruction(split[2])
     if obstruction is None:
         return IsotropyVerdict(IsotropyKind.ISOTROPIC), split
@@ -615,8 +642,7 @@ def isotropic_vector(q: QuadraticForm) -> IsotropyVerdict:
     p, _, s_parts, mults = split
     x = None
     if len(s_parts) >= 4 and _hyperbolic_pair(s_parts) is None:
-        den = math.lcm(*(e.denominator for row in q.gram for e in row))
-        x = _dense_zero_search([[int(e * den) for e in row] for row in q.gram], 300_000)
+        x = _dense_zero_search(_integral_gram(q)[1], 300_000)
     if x is None:
         w = _diagonal_zero(s_parts)
         x = mat_vec(p, [m * wi for m, wi in zip(mults, w)])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from nullcone.exactmath import Poly, frac, mat_inv
+from nullcone.exactmath import Poly, frac, kernel_basis, mat_identity, mat_inv
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
 from nullcone.quadpoints import QuadraticForm, diagonalize
 
@@ -58,6 +58,98 @@ def random_quadric_poly(rng, n: int, hmax: int) -> Poly:
                     terms[tuple(e)] = Fraction(c)
         if terms:
             return Poly(n, terms)
+
+
+def random_gram(rng, n: int, hmax: int, den: int = 1) -> list[list]:
+    """Random symmetric n x n Gram matrix with entries k / den, |k| <= hmax."""
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = frac(Fraction(rng.randint(-hmax, hmax), den))
+    return gram
+
+
+def low_rank_gram(rng, n: int, r: int, hmax: int) -> list[list[int]]:
+    """L^T diag(d) L for a random r x n integer L of rank r and nonzero d: a
+    Gram matrix of rank exactly r."""
+    while True:
+        lin = [[rng.randint(-hmax, hmax) for _ in range(n)] for _ in range(r)]
+        if len(kernel_basis(lin)) == n - r:
+            break
+    d = [rng.choice((-1, 1)) * rng.randint(1, hmax) for _ in range(r)]
+    return [
+        [sum(lin[t][i] * d[t] * lin[t][j] for t in range(r)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def seeded_quadric_forms(rng, count: int) -> list[QuadraticForm]:
+    """Nonzero forms in 2-6 variables, cycling through integral Grams, Grams
+    with denominators 2 and 3, half-integral Grams read off integer quadratic
+    polynomials, and degenerate Grams of rank 1-3."""
+    forms = []
+    while len(forms) < count:
+        n = rng.randint(2, 6)
+        kind = len(forms) % 5
+        if kind == 0:
+            gram = random_gram(rng, n, 6)
+        elif kind in (1, 2):
+            gram = random_gram(rng, n, 6, den=kind + 1)
+        elif kind == 3:
+            forms.append(QuadraticForm.from_poly(random_quadric_poly(rng, n, 6)))
+            continue
+        else:
+            gram = low_rank_gram(rng, n, rng.randint(1, min(3, n - 1)), 3)
+        q = QuadraticForm(tuple(tuple(row) for row in gram))
+        if not q.is_zero:
+            forms.append(q)
+    return forms
+
+
+def rational_diagonalize(q: QuadraticForm):
+    """Reference congruence diagonalization in rational arithmetic: P with
+    P^T S P diagonal, eliminating each pivot row by col_i += c col_k."""
+    n = q.nvars
+    s = [list(row) for row in q.gram]
+    p = mat_identity(n)
+
+    def add_col(dst: int, src: int, c):
+        for r in range(n):
+            s[r][dst] = frac(s[r][dst] + c * s[r][src])
+        for r in range(n):
+            s[dst][r] = frac(s[dst][r] + c * s[src][r])
+        for r in range(n):
+            p[r][dst] = frac(p[r][dst] + c * p[r][src])
+
+    def swap(i: int, j: int):
+        for r in range(n):
+            s[r][i], s[r][j] = s[r][j], s[r][i]
+        s[i], s[j] = s[j], s[i]
+        for r in range(n):
+            p[r][i], p[r][j] = p[r][j], p[r][i]
+
+    for k in range(n):
+        if s[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if s[i][i] != 0), None)
+            if piv is not None:
+                swap(k, piv)
+            else:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if s[i][j] != 0),
+                    None,
+                )
+                if pair is None:
+                    continue
+                i, j = pair
+                add_col(i, j, 1)
+                if i != k:
+                    swap(k, i)
+        if s[k][k] == 0:
+            continue
+        for i in range(k + 1, n):
+            if s[k][i] != 0:
+                add_col(i, k, frac(Fraction(-s[k][i], s[k][k])))
+    return p, [s[i][i] for i in range(n)]
 
 
 def sorted_triples(n: int):
@@ -212,6 +304,24 @@ def det3(m) -> Fraction:
     """Exact determinant of a 3x3 matrix of rationals."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def det(m) -> Fraction:
+    """Exact determinant of a square matrix of rationals, by elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, out = len(a), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, n):
+            c = a[i][k] / a[k][k]
+            a[i] = [x - c * y for x, y in zip(a[i], a[k])]
+    return out
 
 
 def hessian_det(form: IntersectionForm, point) -> Fraction:

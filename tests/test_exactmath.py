@@ -143,6 +143,24 @@ def test_exact_divide_integer_input_gives_exact_quotient():
     assert q == Poly.linear([Fraction(1, 2)]) and is_exact(*q.terms.values())
 
 
+def test_exact_divide_builds_only_the_quotient(monkeypatch):
+    # the remainder is updated in place: one Poly, the quotient, per call
+    rng = random.Random(6)
+    f = random_linear_poly(rng, 5, 5)
+    g = random_quadric_poly(rng, 5, 5)
+    product = f * g
+    built = []
+    init = Poly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    assert exact_divide(product, f) == g
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # roots and squares
 

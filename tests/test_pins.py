@@ -11,8 +11,9 @@ import random
 
 from nullcone.certify import certify
 from nullcone.cli import render_json
-from nullcone.cubicfactor import factor_over_Q
+from nullcone.cubicfactor import factor_over_Q, factor_quadratic_form
 from nullcone.exactmath import Poly
+from nullcone.quadpoints import is_isotropic, isotropic_vector
 
 from helpers import (
     SECTION_DECOY_CUBIC,
@@ -21,11 +22,13 @@ from helpers import (
     plant_reducible_form,
     random_linear_poly,
     random_quadric_poly,
+    seeded_quadric_forms,
 )
 
 PLANTED_CERTIFICATES_SHA256 = "2a945233b3a05a240d84cede099f6a5bc1949fb8e1b1dd4ccc7f4a314aada11e"
 FACTOR_RESULTS_SHA256 = "bd9cbaa43353345e2d811c9be900d1d08d288b292517111f9ecb5651619ef770"
 REDUCIBLE_CERTIFICATES_SHA256 = "edfafbac45f5a7be3882f03efcf23960d0acdaa591e29a7e486ef2e75233022c"
+QUADRIC_LAYER_SHA256 = "75564ba6253315876bd7eaa71280e312b768b51994404d4c139c05728e0c9efa"
 
 
 def _sha256(text: str) -> str:
@@ -90,3 +93,22 @@ def test_factor_results_pinned():
             rows.append([r.kind.value, str(r.scalar), [list(l) for l in r.linears], gram])
     assert _sha256(json.dumps(rows)) == FACTOR_RESULTS_SHA256
 
+
+
+def _verdict_row(v):
+    return [v.kind.value, v.witness, str(v.obstruction), [list(b) for b in v.radical_basis]]
+
+
+def test_quadric_layer_pinned():
+    # integral forms, forms with denominators 2 and 3, half-integral forms
+    # and degenerate forms of rank 1-3, in 2-6 variables: the verdicts,
+    # witnesses, obstructions, radical bases and quadric splits
+    rows = []
+    for q in seeded_quadric_forms(random.Random(512), 300):
+        split = factor_quadratic_form(q)
+        rows.append([
+            _verdict_row(isotropic_vector(q)),
+            _verdict_row(is_isotropic(q)),
+            None if split is None else [list(split[0]), list(split[1]), str(split[2])],
+        ])
+    assert _sha256(json.dumps(rows)) == QUADRIC_LAYER_SHA256

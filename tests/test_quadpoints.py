@@ -23,7 +23,18 @@ from nullcone.quadpoints import (
     squarefree_split,
 )
 
-from helpers import is_exact
+from nullcone import quadpoints
+from nullcone.certify import certify
+
+from helpers import (
+    annihilator_c2,
+    det,
+    is_exact,
+    plant_reducible_form,
+    random_gram,
+    rational_diagonalize,
+    seeded_quadric_forms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +117,33 @@ def test_hilbert_symbol_squares_are_trivial():
 
 
 def test_diagonalize_congruence_random():
+    # integral Grams and Grams with denominators 2, 3 and 6: P is integral,
+    # P^T S P is the returned diagonal, and each column of P is a positive
+    # multiple of the column of the rational reference elimination
     rng = random.Random(31)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        gram = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                gram[i][j] = gram[j][i] = rng.randint(-6, 6)
-        q = QuadraticForm(tuple(tuple(Fraction(x) for x in row) for row in gram))
-        if q.is_zero:
-            continue
-        p, diag = diagonalize(q)
-        cols = [tuple(p[i][k] for i in range(n)) for k in range(n)]
-        for k, col in enumerate(cols):
-            assert q.evaluate(col) == diag[k]
-        for a in range(n):
-            for b in range(a + 1, n):
-                assert q.bilinear(cols[a], cols[b]) == 0
+    for den in (1, 2, 3, 6):
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            q = QuadraticForm(tuple(tuple(row) for row in random_gram(rng, n, 6, den)))
+            if q.is_zero:
+                continue
+            p, diag = diagonalize(q)
+            assert all(type(x) is int for row in p for x in row)
+            if den == 1:
+                assert all(type(x) is int for x in diag)
+            cols = [tuple(p[i][k] for i in range(n)) for k in range(n)]
+            for k, col in enumerate(cols):
+                assert q.evaluate(col) == diag[k]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    assert q.bilinear(cols[a], cols[b]) == 0
+            ref_p, ref_diag = rational_diagonalize(q)
+            for k, col in enumerate(cols):
+                ref = [ref_p[i][k] for i in range(n)]
+                lead = next(i for i, x in enumerate(ref) if x != 0)
+                scale = Fraction(col[lead], ref[lead])
+                assert scale > 0 and list(col) == [scale * x for x in ref]
+                assert diag[k] == scale * scale * ref_diag[k]
 
 
 def test_diagonalize_zero_diagonal_path():
@@ -133,14 +154,20 @@ def test_diagonalize_zero_diagonal_path():
 
 
 def test_diagonalize_and_from_poly_of_integer_input_are_exact():
+    # fraction-free: an integral Gram gives an integral P and diagonal
     p, diag = diagonalize(QuadraticForm(((2, 1), (1, 2))))
-    assert diag == [2, Fraction(3, 2)] and p == [[1, Fraction(-1, 2)], [0, 1]]
-    assert [type(x) for x in diag] == [int, Fraction]
-    assert [[type(x) for x in row] for row in p] == [[int, Fraction], [int, int]]
+    assert diag == [2, 6] and p == [[1, -1], [0, 2]]
+    assert [type(x) for x in diag] == [int, int]
+    assert [[type(x) for x in row] for row in p] == [[int, int], [int, int]]
     # x0 x1 has the half-integer off-diagonal Gram entry 1/2
     q = QuadraticForm.from_poly(Poly.variable(2, 0) * Poly.variable(2, 1))
     assert q.gram == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
     assert is_exact(*q.gram[0], *q.gram[1])
+    p, diag = diagonalize(q)
+    assert diag == [1, -1] and p == [[1, -1], [1, 1]]
+    assert [type(x) for x in diag] == [int, int]
+    assert [[type(x) for x in row] for row in p] == [[int, int], [int, int]]
+    assert diagonalize(QuadraticForm.from_diagonal([Fraction(1, 2), 3]))[1] == [Fraction(1, 2), 3]
     assert [type(x) for x in QuadraticForm.from_diagonal([Fraction(4, 2), 1]).gram[0]] == [int, int]
     with pytest.raises(TypeError):
         QuadraticForm.from_diagonal([0.5, 1])
@@ -194,6 +221,40 @@ def test_isotropy_degenerate_reports_radical():
     v = is_isotropic(QuadraticForm.from_diagonal([1, 1, 0]))
     assert v.kind is IsotropyKind.DEGENERATE
     assert v.radical_basis == ((0, 0, 1),)
+
+
+def test_isotropy_degenerate_exactly_when_singular():
+    # DEGENERATE is read off a zero diagonal entry; it must agree with
+    # det S = 0, and carry the same radical basis as the rational kernel
+    forms = seeded_quadric_forms(random.Random(513), 150)
+    degenerate = 0
+    for q in forms:
+        verdict = is_isotropic(q)
+        singular = det(q.gram) == 0
+        assert (verdict.kind is IsotropyKind.DEGENERATE) == singular
+        if singular:
+            assert verdict.radical_basis == tuple(radical(q))
+            degenerate += 1
+    assert degenerate >= 30
+
+
+def test_radical_runs_only_on_degenerate_forms(monkeypatch):
+    def forbidden(q):
+        raise AssertionError("radical reached on a nondegenerate form")
+
+    monkeypatch.setattr(quadpoints, "radical", forbidden)
+    for q in seeded_quadric_forms(random.Random(513), 150):
+        if det(q.gram) != 0:
+            is_isotropic(q)
+            isotropic_vector(q)
+    # the reducible pin inputs: the quadric factor of each cubic is decided
+    # and given a witness without the kernel computation
+    rng = random.Random(511)
+    for n in range(5, 9):
+        for _ in range(3):
+            form, d = plant_reducible_form(rng, n)
+            c2 = annihilator_c2(rng, d, form.square_class(d).coords)
+            assert certify(form, c2, d).rule == "thm_main_reducible"
 
 
 def test_isotropy_zero_form_raises():
