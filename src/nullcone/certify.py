@@ -434,6 +434,13 @@ def certify(
     return _Pipeline(form, c2, d, h, assumptions, options).run()
 
 
+def _b2disc(form: IntersectionForm, e0, d) -> Rat:
+    """The discriminant 9 b^2 - 12 a c of the cubic restricted to the span of
+    E0 and D, with a = T(E0,E0,E0), b = T(E0,E0,D), c = T(E0,D,D)."""
+    b = form.triple(e0, e0, d)
+    return 9 * b * b - 12 * form.cube(e0) * form.triple(e0, d, d)
+
+
 def replay_check(form: IntersectionForm, c2: LinearClass, chk: Check) -> Rat:
     """Recompute the value of a single trace check from the raw input."""
     op, args = chk.op, chk.operands
@@ -450,14 +457,9 @@ def replay_check(form: IntersectionForm, c2: LinearClass, chk: Check) -> Rat:
     if op == "quad":
         return QuadraticForm(args[0]).evaluate(args[1])
     if op == "b2disc":
-        e0, d = args
-        bb = form.triple(e0, e0, d)
-        return 9 * bb * bb - 12 * form.cube(e0) * form.triple(e0, d, d)
+        return _b2disc(form, *args)
     if op == "b2disc_sqrt":
-        e0, d = args
-        bb = form.triple(e0, e0, d)
-        disc = 9 * bb * bb - 12 * form.cube(e0) * form.triple(e0, d, d)
-        s = is_perfect_square(disc)
+        s = is_perfect_square(_b2disc(form, *args))
         if s is None:
             raise ValueError("discriminant is not a perfect square on replay")
         return s

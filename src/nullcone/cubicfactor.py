@@ -1,8 +1,11 @@
 """Factorization of homogeneous cubics over the rationals.
 
 The cubic attached to intersection data is expanded exactly and split into
-linear and quadratic pieces when possible; every returned factorization is
-re-expanded and compared against the input before it is handed back.
+linear and quadratic pieces when possible.  One linear-factor search, for
+forms of any degree, answers every factoring question: it splits a linear
+factor off the cubic, splits the quadric cofactor, splits a quadratic form
+and recognizes a perfect cube.  Every returned factorization is re-expanded
+and compared against the input before it is handed back.
 """
 from __future__ import annotations
 
@@ -20,14 +23,12 @@ from .exactmath import (
     frac,
     height,
     iter_integer_vectors,
-    mat_inv,
     primitive_vector,
     rational_roots,
-    is_perfect_square,
     spiral_key,
 )
 from .nsring import IntersectionForm
-from .quadpoints import QuadraticForm, diagonalize
+from .quadpoints import QuadraticForm
 
 
 class FactorKind(str, Enum):
@@ -75,39 +76,32 @@ def expand_cubic(form: IntersectionForm) -> Poly:
     return Poly(n, terms)
 
 
-def _exp_cube(n: int, i: int) -> tuple[int, ...]:
-    e = [0] * n
-    e[i] = 3
-    return tuple(e)
-
-
-def _exp_sq(n: int, i: int, j: int) -> tuple[int, ...]:
-    e = [0] * n
-    e[i] += 2
-    e[j] += 1
-    return tuple(e)
-
-
 def _divided(f: Poly, cand: tuple[int, ...]) -> tuple[tuple[int, ...], Poly] | None:
     """(cand, f / cand) when the linear form cand divides f, else None."""
     cof = exact_divide(f, Poly.linear(cand))
     return None if cof is None else (cand, cof)
 
 
-def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[tuple[int, ...], Poly] | None:
-    """A linear factor with a nonzero x_p coefficient and its cofactor, or None."""
+def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[tuple[int, ...], Poly] | None:
+    """A linear factor with a nonzero x_p coefficient and its cofactor, or None.
+
+    f is a form of degree d with a nonzero x_p^d coefficient.  On the
+    coordinate line of x_p and x_i a factor x_p + a x_i + ... restricts to
+    x_p + a x_i, so -a is a rational root of sum_k c_k t^(d-k), c_k the
+    coefficient of x_p^(d-k) x_i^k.
+    """
     n = f.nvars
-    a0 = f.coeff(_exp_cube(n, p))
     root_sets: list[tuple[int, list[Rat]]] = []
     for i in range(n):
         if i == p:
             continue
-        roots = sorted(set(rational_roots([
-            a0,
-            f.coeff(_exp_sq(n, p, i)),
-            f.coeff(_exp_sq(n, i, p)),
-            f.coeff(_exp_cube(n, i)),
-        ])))
+        coeffs = []
+        for k in range(d + 1):
+            e = [0] * n
+            e[p] = d - k
+            e[i] = k
+            coeffs.append(f.coeff(tuple(e)))
+        roots = sorted(set(rational_roots(coeffs)))
         if not roots:
             return None
         root_sets.append((i, roots))
@@ -130,8 +124,8 @@ def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[tuple[int, ...], Poly] |
                 point[p] = t1 + t
                 point[i1] = 1
                 point[i] = 1
-                # f is a cubic form, so clearing the denominator of t1 + t
-                # keeps the zero test and evaluates in integers
+                # f is a form, so clearing the denominator of t1 + t keeps
+                # the zero test and evaluates in integers
                 if f.evaluate(primitive_vector(point)) == 0:
                     compatible.append(t)
             if not compatible:
@@ -153,40 +147,29 @@ def _linear_factor_with_pivot(f: Poly, p: int) -> tuple[tuple[int, ...], Poly] |
 
 
 def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | None:
-    """A canonical linear factor of f and its cofactor, or None."""
+    """A canonical linear factor of the nonzero form f and its cofactor, or None."""
     n = f.nvars
-    pivots = [i for i in range(n) if f.coeff(_exp_cube(n, i)) != 0]
+    # f is homogeneous, so any term gives its degree, and an exponent with an
+    # entry d is a pure power x_i^d
+    d = sum(next(iter(f.terms)))
+    pivots = sorted(e.index(d) for e in f.terms if d in e)
     if pivots:
-        return _linear_factor_with_pivot(f, pivots[seed % len(pivots)])
-    # no pure cube: shear x_i -> x_i + c_i x_p at a point where f is nonzero,
-    # which makes x_p^3 the one pure cube of the sheared cubic
+        return _linear_factor_with_pivot(f, pivots[seed % len(pivots)], d)
+    # no pure power: shear x_i -> x_i + c_i x_p for a point c with c_p = 1
+    # and f(c) != 0, which is the x_p^d coefficient of the sheared form
     occupied = [i for i in range(n) if any(e[i] for e in f.terms)]
-    if not occupied:
-        raise ValueError("cannot factor the zero cubic")
     p = occupied[seed % len(occupied)]
-    others = [i for i in range(n) if i != p]
-    shift = None
-    for cvec in iter_integer_vectors(len(others)):
-        point = [0] * n
-        point[p] = 1
-        for idx, i in enumerate(others):
-            point[i] = cvec[idx]
+    for cvec in iter_integer_vectors(n - 1):
+        point = cvec[:p] + (1,) + cvec[p:]
         if f.evaluate(point) != 0:
-            shift = cvec
             break
-    images = []
-    for i in range(n):
-        img = Poly.variable(n, i)
-        if i != p:
-            c = shift[others.index(i)]
-            if c:
-                img = img + c * Poly.variable(n, p)
-        images.append(img)
-    found = _linear_factor_with_pivot(f.substitute(images), p)
+    x_p = Poly.variable(n, p)
+    images = [x_p if i == p else Poly.variable(n, i) + c * x_p for i, c in enumerate(point)]
+    found = _linear_factor_with_pivot(f.substitute(images), p, d)
     if found is None:
         return None
     w = list(found[0])
-    w[p] -= sum(w[i] * shift[others.index(i)] for i in others)
+    w[p] -= sum(w[i] * c for i, c in enumerate(point) if i != p)
     found = _divided(f, canonical_vector(w))
     if found is None:
         raise AssertionError("shear-mapped factor failed verification")
@@ -206,57 +189,42 @@ def _primitive_poly(p: Poly) -> tuple[Rat, Poly]:
     return frac(scale), Poly(p.nvars, {e: Fraction(c, scale) for e, c in p.terms.items()})
 
 
+def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], Rat] | None:
+    """(l1, l2, scalar) with q = scalar * l1 * l2 for a nonzero quadratic
+    form q, the l_i canonical and (height, spiral)-sorted, or None when q is
+    irreducible over the rationals."""
+    found = _find_linear_factor(q, 0)
+    if found is None:
+        return None
+    l1, cof = found
+    coords = [0] * q.nvars
+    for e, c in cof.terms.items():
+        coords[e.index(1)] = c
+    pair = sorted((l1, canonical_vector(coords)), key=lambda v: (height(v), spiral_key(v)))
+    prod = Poly.linear(pair[0]) * Poly.linear(pair[1])
+    lead = max(prod.terms)
+    scalar = frac(Fraction(q.coeff(lead), prod.coeff(lead)))
+    if scalar * prod != q:
+        raise AssertionError("quadric split failed verification")
+    return pair[0], pair[1], scalar
+
+
 def factor_quadratic_form(q: QuadraticForm):
     """Split q into two linear forms: (l1, l2, scalar) with
     q = scalar * l1 * l2, or None when q is irreducible over the rationals."""
     if q.is_zero:
         raise ValueError("the zero form does not factor meaningfully")
-    p, diag = diagonalize(q)
-    nz = [i for i, d in enumerate(diag) if d != 0]
-    if len(nz) > 2:
-        return None
-    pinv = mat_inv(p)
-    q_poly = q.to_poly()
-    if len(nz) == 1:
-        l = canonical_vector(pinv[nz[0]])
-        pair = (l, l)
-    else:
-        r, s = nz
-        root = is_perfect_square(Fraction(-diag[s], diag[r]))
-        if root is None:
-            return None
-        row_r, row_s = pinv[r], pinv[s]
-        l1 = canonical_vector([a - root * b for a, b in zip(row_r, row_s)])
-        l2 = canonical_vector([a + root * b for a, b in zip(row_r, row_s)])
-        pair = tuple(sorted((l1, l2), key=lambda v: (height(v), spiral_key(v))))
-    prod = Poly.linear(pair[0]) * Poly.linear(pair[1])
-    lead = max(prod.terms)
-    scalar = frac(Fraction(q_poly.coeff(lead), prod.coeff(lead)))
-    if scalar * prod != q_poly:
-        raise AssertionError("quadric split failed verification")
-    return pair[0], pair[1], scalar
+    return _split_quadric(q.to_poly())
 
 
 def is_perfect_cube_linear(f: Poly):
     """(l, scalar) with f = scalar * l^3 for a canonical primitive l, or None."""
     if f.is_zero or not f.is_homogeneous(3):
         return None
-    n = f.nvars
-    i0 = next((i for i in range(n) if f.coeff(_exp_cube(n, i)) != 0), None)
-    if i0 is None:
+    fac = factor_over_Q(f)
+    if fac.kind is not FactorKind.LINEAR_CUBE:
         return None
-    c3 = f.coeff(_exp_cube(n, i0))
-    coords = [0] * n
-    coords[i0] = 1
-    for j in range(n):
-        if j != i0:
-            coords[j] = Fraction(f.coeff(_exp_sq(n, i0, j)), 3 * c3)
-    l = canonical_vector(coords)
-    cube = Poly.linear(l) ** 3
-    scalar = frac(Fraction(c3, cube.coeff(_exp_cube(n, i0))))
-    if scalar * cube != f:
-        return None
-    return l, scalar
+    return fac.linears[0], fac.scalar
 
 
 def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
@@ -273,15 +241,18 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
     if found is None:
         return Factorization(FactorKind.IRREDUCIBLE, 1, (), None)
     lin, cof = found
-    split = factor_quadratic_form(QuadraticForm.from_poly(cof))
+    scalar, prim = _primitive_poly(cof)
+    split = _split_quadric(prim)
     if split is None:
-        scalar, prim = _primitive_poly(cof)
         out = Factorization(
             FactorKind.LINEAR_TIMES_QUADRIC, scalar, (lin,), QuadraticForm.from_poly(prim)
         )
     else:
-        # f = lin * cof = scalar * lin * l2 * l3, in whichever order
-        l2, l3, scalar = split
+        # f = lin * cof = scalar * lin * l2 * l3, in whichever order; prim
+        # and l2 * l3 are primitive (Gauss's lemma), so the split's sign is
+        # its whole scalar
+        l2, l3, sign = split
+        scalar = scalar * sign
         triple = [lin, l2, l3]
         distinct = sorted(set(triple), key=lambda v: (height(v), spiral_key(v)))
         if len(distinct) == 1:

@@ -411,24 +411,6 @@ def mat_vec(a: Mat, v: Sequence) -> Vec:
     return tuple(vec_dot(row, v) for row in a)
 
 
-def mat_inv(a: Mat) -> Mat:
-    """Inverse by Gauss-Jordan; raises on a singular matrix."""
-    n = len(a)
-    aug = [[frac(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [frac(Fraction(x, lead)) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [frac(x - f * y) for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column indices."""
     m = [[frac(x) for x in row] for row in rows]

@@ -381,10 +381,10 @@ class IsotropyVerdict:
     radical_basis: tuple[tuple[int, ...], ...] = ()
 
 
-def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[Rat], list[int], list[int]] | None:
+def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[int], list[int]] | None:
     """Diagonalize and scale to a squarefree integer diagonal.
 
-    Returns (P, diagonal, squarefree parts s_i, multipliers m_i) where a zero
+    Returns (P, squarefree parts s_i, multipliers m_i) where a zero
     w of sum s_i w_i^2 lifts to the original form via y_i = m_i w_i, x = P y;
     None when a diagonal entry is 0, that is, when the form is degenerate.
     """
@@ -401,7 +401,7 @@ def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[Rat], list[int], l
         ts.append(t)
     t_lcm = math.lcm(*ts)
     mults = [d.denominator * (t_lcm // t) for d, t in zip(diag, ts)]
-    return p, diag, s_parts, mults
+    return p, s_parts, mults
 
 
 def _decide_isotropy(q: QuadraticForm) -> tuple[IsotropyVerdict, tuple | None]:
@@ -412,7 +412,7 @@ def _decide_isotropy(q: QuadraticForm) -> tuple[IsotropyVerdict, tuple | None]:
     split = _squarefree_diagonal(q)
     if split is None:
         return IsotropyVerdict(IsotropyKind.DEGENERATE, radical_basis=tuple(radical(q))), None
-    obstruction = _local_obstruction(split[2])
+    obstruction = _local_obstruction(split[1])
     if obstruction is None:
         return IsotropyVerdict(IsotropyKind.ISOTROPIC), split
     return IsotropyVerdict(IsotropyKind.ANISOTROPIC, obstruction=obstruction), split
@@ -639,7 +639,7 @@ def isotropic_vector(q: QuadraticForm) -> IsotropyVerdict:
     base, split = _decide_isotropy(q)
     if base.kind is not IsotropyKind.ISOTROPIC:
         return base
-    p, _, s_parts, mults = split
+    p, s_parts, mults = split
     x = None
     if len(s_parts) >= 4 and _hyperbolic_pair(s_parts) is None:
         x = _dense_zero_search(_integral_gram(q)[1], 300_000)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from nullcone.exactmath import Poly, frac, kernel_basis, mat_identity, mat_inv
+from nullcone.exactmath import Poly, frac, kernel_basis, mat_identity
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
 from nullcone.quadpoints import QuadraticForm, diagonalize
 
@@ -241,14 +241,21 @@ def annihilator_c2(rng, d, sq) -> LinearClass:
 
 
 def unimodular_matrix(rng, n: int, steps: int = 3):
-    """Product of integer shear operations: determinant exactly 1."""
+    """(u, u^-1) for a product u of integer shear operations: determinant
+    exactly 1, and the inverse undoes the same shears in reverse order."""
     u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    shears = []
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-2, -1, 1, 2))
+        shears.append((i, j, c))
         for k in range(n):
             u[i][k] += c * u[j][k]
-    return tuple(tuple(row) for row in u)
+    for i, j, c in reversed(shears):
+        for k in range(n):
+            u_inv[i][k] -= c * u_inv[j][k]
+    return tuple(tuple(row) for row in u), tuple(tuple(row) for row in u_inv)
 
 
 def change_basis(form: IntersectionForm, u) -> IntersectionForm:
@@ -288,9 +295,8 @@ def plant_nu1_fixture(rng, n: int, hmax: int):
         base = IntersectionForm(n, entries)
         if base.numerical_dimension((1,) + (0,) * (n - 1)) != 1:
             continue
-        u = unimodular_matrix(rng, n)
+        u, u_inv = unimodular_matrix(rng, n)
         form = change_basis(form=base, u=u)
-        u_inv = mat_inv(u)
         d = transform_point(u_inv, (1,) + (0,) * (n - 1))
         assert all(x.denominator == 1 for x in d)
         d = tuple(int(x) for x in d)

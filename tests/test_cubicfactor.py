@@ -13,15 +13,17 @@ from nullcone.cubicfactor import (
     factor_quadratic_form,
     is_perfect_cube_linear,
 )
-from nullcone.exactmath import Poly, frac
+from nullcone.exactmath import Poly, canonical_vector, frac, height, spiral_key
 from nullcone.nsring import IntersectionForm
 from nullcone.quadpoints import QuadraticForm
 
 from helpers import (
     SECTION_DECOY_CUBIC,
+    det,
     is_exact,
     nonzero_vector,
     random_form,
+    random_gram,
     random_linear_poly,
     random_quadric_poly,
 )
@@ -145,6 +147,9 @@ def test_factor_seed_invariant_result():
         (x0 * (x1 * x1 + x1 * x2 + 2 * x2 * x2), FactorKind.LINEAR_TIMES_QUADRIC),
         # (1, 1, 1) passes the section filter but not the division
         (SECTION_DECOY_CUBIC, FactorKind.LINEAR_TIMES_QUADRIC),
+        # two variables: the cubic vanishes at the shift (1, 1), so the shear
+        # must go on to (1, -1)
+        (Poly(2, {(2, 1): 1, (1, 2): -1}), FactorKind.THREE_LINEAR),
     ]
     for f, kind in cases:
         results = [factor_over_Q(f, seed=s) for s in range(6)]
@@ -155,6 +160,8 @@ def test_factor_seed_invariant_result():
     assert factor_over_Q(6 * x0 * x1 * x2).linears == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     decoy = factor_over_Q(SECTION_DECOY_CUBIC)
     assert decoy.linears == ((7, -9, 7),) and decoy.scalar == -1
+    binary = factor_over_Q(cases[-1][0])
+    assert binary.linears == ((0, 1), (1, 0), (1, -1)) and binary.scalar == 1
 
 
 def test_factor_random_products_roundtrip():
@@ -184,6 +191,23 @@ def test_factor_quadratic_form_split():
     a = Poly.linear([frac(c) for c in l1])
     b = Poly.linear([frac(c) for c in l2])
     assert Poly.constant(3, scalar) * a * b == q.to_poly()
+    # no pure square: the search shears first, in two and in four variables
+    x0x1 = QuadraticForm.from_poly(Poly.variable(2, 0) * Poly.variable(2, 1))
+    assert factor_quadratic_form(x0x1) == ((0, 1), (1, 0), 1)
+    q = QuadraticForm.from_poly(lin([1, 2, 0, 0]) * lin([0, 0, 1, -3]))
+    assert factor_quadratic_form(q) == ((1, 2, 0, 0), (0, 0, 1, -3), 1)
+    # s l1 l2 gives the (height, spiral)-sorted canonical pair and s
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        pair = [canonical_vector(nonzero_vector(rng, n, 3)) for _ in range(2)]
+        if rng.random() < 0.25:
+            pair[1] = pair[0]
+        s = frac(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3)))
+        q = QuadraticForm.from_poly(Poly.constant(n, s) * lin(pair[0]) * lin(pair[1]))
+        l1, l2, scalar = factor_quadratic_form(q)
+        assert [l1, l2] == sorted(pair, key=lambda v: (height(v), spiral_key(v)))
+        assert scalar == s and is_exact(scalar)
 
 
 def test_factor_quadratic_form_rank1():
@@ -195,6 +219,15 @@ def test_factor_quadratic_form_rank1():
 def test_factor_quadratic_form_irreducible():
     assert factor_quadratic_form(QuadraticForm.from_diagonal([1, 1, 0])) is None
     assert factor_quadratic_form(QuadraticForm.from_diagonal([1, 1, -2])) is None
+    x = [Poly.variable(4, i) for i in range(4)]
+    assert factor_quadratic_form(QuadraticForm.from_poly(x[0] * x[1] + x[2] * x[3])) is None
+    # a product of two linear forms has rank at most 2
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        gram = random_gram(rng, n, 4, den=rng.choice((1, 2)))
+        if det(gram) != 0:
+            assert factor_quadratic_form(QuadraticForm(tuple(map(tuple, gram)))) is None
     with pytest.raises(ValueError):
         factor_quadratic_form(QuadraticForm.from_diagonal([0, 0]))
 
@@ -210,6 +243,13 @@ def test_is_perfect_cube_linear():
     assert Poly.constant(3, scalar) * Poly.linear([frac(c) for c in l]) ** 3 == lin(
         [1, -2, 3]
     ) ** 3
+    # s l^3 gives the canonical l and s
+    rng = random.Random(59)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        l = canonical_vector(nonzero_vector(rng, n, 3))
+        s = frac(Fraction(rng.choice((-4, -1, 1, 3)), rng.randint(1, 3)))
+        assert is_perfect_cube_linear(Poly.constant(n, s) * lin(l) ** 3) == (l, s)
 
 
 def test_is_perfect_cube_linear_of_integer_cube_is_exact():

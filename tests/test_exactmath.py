@@ -20,9 +20,6 @@ from nullcone.exactmath import (
     iter_kernel_primitives,
     iter_primitive_vectors,
     kernel_basis,
-    mat_identity,
-    mat_inv,
-    mat_vec,
     primitive_vector,
     rational_roots,
     rref,
@@ -271,7 +268,7 @@ def _types(rows):
     return [[type(x) for x in row] for row in rows]
 
 
-def test_rref_and_mat_inv_of_integer_matrices_are_exact():
+def test_rref_of_integer_matrices_is_exact():
     # integral entries are ints, fractional ones Fractions
     m, pivots = rref([[2, 1]])
     assert m == [[1, Fraction(1, 2)]] and pivots == [0]
@@ -279,40 +276,11 @@ def test_rref_and_mat_inv_of_integer_matrices_are_exact():
     m, pivots = rref([[2, 4, 1], [1, 3, 1]])
     assert m == [[1, 0, Fraction(-1, 2)], [0, 1, Fraction(1, 2)]] and pivots == [0, 1]
     assert _types(m) == [[int, int, Fraction], [int, int, Fraction]]
-    inv = mat_inv([[2, 0], [0, 4]])
-    assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
-    assert _types(inv) == [[Fraction, int], [int, Fraction]]
-    # a unimodular matrix: the elimination passes through halves, the
-    # inverse is integral
-    inv = mat_inv([[2, 1], [1, 1]])
-    assert inv == [[1, -1], [-1, 2]] and _types(inv) == [[int, int], [int, int]]
 
 
 def test_kernel_basis_full_rank_is_empty():
     rows = [[frac(1), frac(0)], [frac(0), frac(1)]]
     assert kernel_basis(rows) == []
-
-
-def test_mat_inverse_random():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(2, 4)
-        while True:
-            m = tuple(
-                tuple(frac(rng.randint(-4, 4)) for _ in range(n)) for _ in range(n)
-            )
-            try:
-                inv = mat_inv(m)
-                break
-            except ValueError:
-                continue
-        product = [
-            [sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert product == mat_identity(n)
-        v = tuple(frac(rng.randint(-5, 5)) for _ in range(n))
-        assert mat_vec(inv, mat_vec(m, v)) == v
 
 
 # ---------------------------------------------------------------------------
