@@ -7,6 +7,7 @@ runs on the same input are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -514,7 +515,9 @@ def _cmd_fixtures(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nullcone` argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nullcone",
         description=(

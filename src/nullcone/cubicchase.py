@@ -239,10 +239,12 @@ def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
 
 
 def _gradient_quadrics(form: IntersectionForm) -> list[QuadraticForm]:
-    n, t = form.rank, form.symmetric
+    n, t = form.rank, form.entries
     out = []
     for i in range(n):
-        q = QuadraticForm(tuple(tuple(t.get((a, b, i), 0) for b in range(n)) for a in range(n)))
+        q = QuadraticForm(tuple(
+            tuple(t.get(tuple(sorted((a, b, i))), 0) for b in range(n)) for a in range(n)
+        ))
         if not q.is_zero:
             out.append(q)
     return out

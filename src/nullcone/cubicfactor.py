@@ -23,7 +23,6 @@ from .exactmath import (
     frac,
     height,
     iter_integer_vectors,
-    primitive_vector,
     rational_roots,
     spiral_key,
 )
@@ -67,12 +66,12 @@ def expand_cubic(form: IntersectionForm) -> Poly:
     """The cubic polynomial T(x, x, x) of the trilinear form, expanded."""
     n = form.rank
     terms: dict[tuple[int, ...], int] = {}
-    for key, v in form.symmetric.items():
+    for i, j, k, w in form.monomials:
         e = [0] * n
-        for i in key:
-            e[i] += 1
-        expo = tuple(e)
-        terms[expo] = terms.get(expo, 0) + v
+        e[i] += 1
+        e[j] += 1
+        e[k] += 1
+        terms[tuple(e)] = w
     return Poly(n, terms)
 
 
@@ -82,52 +81,90 @@ def _divided(f: Poly, cand: tuple[int, ...]) -> tuple[tuple[int, ...], Poly] | N
     return None if cof is None else (cand, cof)
 
 
+def _coordinate_sections(f: Poly, p: int, a: int, d: int):
+    """f on the coordinate lines and planes through x_p, from one pass over f.
+
+    f is a form of degree d, and a != p.  Returns (lines, planes), both keyed
+    by the indices i not in {p, a} in ascending order.  lines[i][k] is the
+    coefficient of x_p^(d-k) x_i^k.  planes[i][m] is the coefficient of s^m
+    in f at x_p = s, x_a = x_i = 1 and every other coordinate 0: the terms on
+    {p, a}, which every plane shares, plus the terms on {p, a, i} with x_i.
+    """
+    n = f.nvars
+    lines = {i: [0] * (d + 1) for i in range(n) if i != p and i != a}
+    planes = {i: [0] * (d + 1) for i in lines}
+    shared = [0] * (d + 1)
+    for e, c in f.terms.items():
+        ep, ea = e[p], e[a]
+        rest = d - ep - ea
+        if rest == 0:
+            if not ea:
+                # the pure power x_p^d lies on every line
+                for coeffs in lines.values():
+                    coeffs[0] += c
+            shared[ep] += c
+        elif n - e.count(0) - (ep > 0) - (ea > 0) == 1:
+            # the rest of the degree sits on one variable i outside {p, a}
+            i = e.index(rest)
+            while i == p or i == a:
+                i = e.index(rest, i + 1)
+            planes[i][ep] += c
+            if not ea:
+                lines[i][rest] += c
+    for coeffs in planes.values():
+        for m, c in enumerate(shared):
+            coeffs[m] += c
+    return lines, planes
+
+
+def _vanishes_at(coeffs: list[Rat], s: Rat) -> bool:
+    """Whether sum_m coeffs[m] s^m = 0 for s = num / den, tested with the
+    denominator cleared: sum_m coeffs[m] num^m den^(d-m) = 0, an integer sum
+    when the coefficients are integers."""
+    num, den = s.numerator, s.denominator
+    d = len(coeffs) - 1
+    return sum(c * num**m * den ** (d - m) for m, c in enumerate(coeffs) if c) == 0
+
+
 def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[tuple[int, ...], Poly] | None:
     """A linear factor with a nonzero x_p coefficient and its cofactor, or None.
 
     f is a form of degree d with a nonzero x_p^d coefficient.  On the
-    coordinate line of x_p and x_i a factor x_p + a x_i + ... restricts to
-    x_p + a x_i, so -a is a rational root of sum_k c_k t^(d-k), c_k the
+    coordinate line of x_p and x_i a factor x_p + b x_i + ... restricts to
+    x_p + b x_i, so -b is a rational root of sum_k c_k t^(d-k), c_k the
     coefficient of x_p^(d-k) x_i^k.
     """
     n = f.nvars
+    if n == 1:
+        return _divided(f, (1,))
+    # anchor on the first variable a other than p: an irreducible form
+    # seldom has a root on that line, and d + 1 coefficient lookups decide it
+    # before the pass over all of f
+    a = 1 if p == 0 else 0
+    anchor_line = []
+    for k in range(d + 1):
+        e = [0] * n
+        e[p], e[a] = d - k, k
+        anchor_line.append(f.coeff(tuple(e)))
+    anchor_roots = sorted(set(rational_roots(anchor_line)))
+    if not anchor_roots:
+        return None
+    lines, planes = _coordinate_sections(f, p, a, d)
     root_sets: list[tuple[int, list[Rat]]] = []
-    for i in range(n):
-        if i == p:
-            continue
-        coeffs = []
-        for k in range(d + 1):
-            e = [0] * n
-            e[p] = d - k
-            e[i] = k
-            coeffs.append(f.coeff(tuple(e)))
+    for i, coeffs in lines.items():
         roots = sorted(set(rational_roots(coeffs)))
         if not roots:
             return None
         root_sets.append((i, roots))
-    if not root_sets:
-        coords = [0] * n
-        coords[p] = 1
-        return _divided(f, tuple(coords))
-    # anchor on the first non-pivot variable and keep, for every other
-    # variable, only the roots consistent with the anchor on the common
-    # three-variable section; a divisor's coordinates always survive, and the
+    # keep, for every other variable, only the roots consistent with the
+    # anchor on the common three-variable section (x_p = t1 + t,
+    # x_a = x_i = 1); a divisor's coordinates always survive, and the
     # combination count collapses from exponential to (usually) one per anchor
-    i1, anchor_roots = root_sets[0]
     for t1 in anchor_roots:
         filtered: list[tuple[int, list[Rat]]] = []
         feasible = True
-        for i, roots in root_sets[1:]:
-            compatible = []
-            for t in roots:
-                point = [0] * n
-                point[p] = t1 + t
-                point[i1] = 1
-                point[i] = 1
-                # f is a form, so clearing the denominator of t1 + t keeps
-                # the zero test and evaluates in integers
-                if f.evaluate(primitive_vector(point)) == 0:
-                    compatible.append(t)
+        for i, roots in root_sets:
+            compatible = [t for t in roots if _vanishes_at(planes[i], t1 + t)]
             if not compatible:
                 feasible = False
                 break
@@ -137,7 +174,7 @@ def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[tuple[int, ...],
         for combo in itertools.product(*(roots for _, roots in filtered)):
             coords = [0] * n
             coords[p] = 1
-            coords[i1] = -t1
+            coords[a] = -t1
             for (i, _), t in zip(filtered, combo):
                 coords[i] = -t
             found = _divided(f, canonical_vector(coords))

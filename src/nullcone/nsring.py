@@ -6,7 +6,6 @@ them.  All queries are exact.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,9 +85,10 @@ class LinearClass:
 class IntersectionForm:
     """Symmetric trilinear form with integer structure constants d_ijk.
 
-    Entries are stored once per sorted index triple i <= j <= k; `symmetric`
-    repeats each value under every ordering of its triple, so evaluation is
-    one integer sum.
+    Entries are stored once per sorted index triple i <= j <= k.  `monomials`
+    holds each as (i, j, k, w), w = d_ijk times the number of distinct
+    orderings of ijk: the coefficient of x_i x_j x_k in the cubic T(x, x, x).
+    Every evaluation is one integer pass over these, O(number of entries).
     """
 
     def __init__(self, rank: int, entries: Mapping[tuple[int, int, int], int]):
@@ -110,11 +110,10 @@ class IntersectionForm:
                 raise ValueError(f"conflicting values for intersection index {(i, j, k)}")
             table[(i, j, k)] = value
         self.entries = table
-        self.symmetric: dict[tuple[int, int, int], int] = {
-            perm: value
-            for key, value in table.items()
-            for perm in dict.fromkeys(itertools.permutations(key))
-        }
+        self.monomials: list[tuple[int, int, int, int]] = [
+            (i, j, k, value * (1 if i == k else 3 if i == j or j == k else 6))
+            for (i, j, k), value in table.items()
+        ]
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "IntersectionForm":
@@ -126,27 +125,44 @@ class IntersectionForm:
             raise ValueError(f"divisor has {len(c)} coordinates, expected {self.rank}")
         return c
 
-    def _scaled(self, d) -> tuple[list[int], int]:
+    def _scaled(self, d) -> tuple[tuple[int, ...], int]:
         """Integer coordinates and their common denominator."""
         c = self._coords(d)
         den = math.lcm(*(q.denominator for q in c))
-        return [q.numerator * (den // q.denominator) for q in c], den
+        if den == 1:
+            return c, 1
+        return tuple(q.numerator * (den // q.denominator) for q in c), den
 
     def triple(self, a, b, c) -> Rat:
         """The full trilinear evaluation T(a, b, c)."""
-        (x, dx), (y, dy), (z, dz) = self._scaled(a), self._scaled(b), self._scaled(c)
-        total = sum(v * x[i] * y[j] * z[k] for (i, j, k), v in self.symmetric.items())
+        x, dx = self._scaled(a)
+        y, dy = (x, dx) if b is a else self._scaled(b)
+        z, dz = (x, dx) if c is a else self._scaled(c)
+        if x == y == z:
+            total = sum(w * x[i] * x[j] * x[k] for i, j, k, w in self.monomials)
+        else:
+            # w / 6 times the sum over all six orderings is T's sum over the
+            # distinct orderings of ijk; every term is a multiple of 6
+            total = sum(
+                w * (x[i] * (y[j] * z[k] + y[k] * z[j])
+                     + x[j] * (y[i] * z[k] + y[k] * z[i])
+                     + x[k] * (y[i] * z[j] + y[j] * z[i]))
+                for i, j, k, w in self.monomials
+            ) // 6
         return frac(Fraction(total, dx * dy * dz))
 
     def cube(self, d) -> Rat:
         return self.triple(d, d, d)
 
-    def _square(self, x: list[int]) -> list[int]:
-        """T(x, x, e_k) for every k, from integer coordinates x, in one pass."""
+    def _square(self, x: tuple[int, ...]) -> list[int]:
+        """T(x, x, e_k) for every k, from integer coordinates x, in one pass:
+        the gradient of the cubic, divided by 3."""
         out = [0] * self.rank
-        for (i, j, k), v in self.symmetric.items():
-            out[k] += v * x[i] * x[j]
-        return out
+        for i, j, k, w in self.monomials:
+            out[i] += w * x[j] * x[k]
+            out[j] += w * x[i] * x[k]
+            out[k] += w * x[i] * x[j]
+        return [t // 3 for t in out]
 
     def square_class(self, d) -> LinearClass:
         """The linear functional T(d, d, -) in basis coordinates."""
@@ -160,9 +176,15 @@ class IntersectionForm:
         if any(sq):
             # cube(d) = T(d, d, -) . d, up to the positive factor den^3
             return 3 if sum(t * c for t, c in zip(sq, x)) else 2
+        # T(d, e_a, e_b) for a <= b: an entry on ijk adds d_ijk x_c to the
+        # pair left when one c is taken out of ijk, once per distinct c
         pairs: dict[tuple[int, int], int] = {}
-        for (i, j, k), v in self.symmetric.items():
+        for (i, j, k), v in self.entries.items():
             pairs[j, k] = pairs.get((j, k), 0) + v * x[i]
+            if j != i:
+                pairs[i, k] = pairs.get((i, k), 0) + v * x[j]
+            if k != j:
+                pairs[i, j] = pairs.get((i, j), 0) + v * x[k]
         return 1 if any(pairs.values()) else 0
 
 

@@ -18,6 +18,7 @@ from .exactmath import (
     Mat,
     Poly,
     Rat,
+    Vec,
     canonical_vector,
     factorint,
     frac,
@@ -665,6 +666,21 @@ class ResidualPoint:
     tangent: bool
 
 
+def _residual(q: QuadraticForm, v: Vec, gv: Vec, w: Sequence) -> ResidualPoint | None:
+    """second_intersection for a nonzero v on q, gv = S v, and a nonzero w
+    not parallel to v; a sweep computes gv once for all its directions."""
+    qw = q.evaluate(w)
+    bvw = vec_dot(gv, w)
+    if qw == 0 and bvw == 0:
+        return None
+    if bvw == 0:
+        return ResidualPoint(primitive_vector(v), True)
+    pt = primitive_vector(tuple(qw * a - 2 * bvw * b for a, b in zip(v, w)))
+    if q.evaluate(pt) != 0:
+        raise AssertionError("residual point failed verification")
+    return ResidualPoint(pt, False)
+
+
 def second_intersection(q: QuadraticForm, v: Sequence, w: Sequence) -> ResidualPoint | None:
     """Residual intersection of the line through v (on the quadric) along w.
 
@@ -678,16 +694,7 @@ def second_intersection(q: QuadraticForm, v: Sequence, w: Sequence) -> ResidualP
         raise ValueError("base point does not lie on the quadric")
     if canonical_vector(vv) == canonical_vector(ww):
         raise ValueError("direction is parallel to the base point")
-    qw = q.evaluate(ww)
-    bvw = q.bilinear(vv, ww)
-    if qw == 0 and bvw == 0:
-        return None
-    if bvw == 0:
-        return ResidualPoint(primitive_vector(vv), True)
-    pt = primitive_vector(tuple(qw * a - 2 * bvw * b for a, b in zip(vv, ww)))
-    if q.evaluate(pt) != 0:
-        raise AssertionError("residual point failed verification")
-    return ResidualPoint(pt, False)
+    return _residual(q, vv, mat_vec(q.gram, vv), ww)
 
 
 def sample_points(
@@ -707,7 +714,8 @@ def sample_points(
     vv = vec(v)
     if q.evaluate(vv) != 0:
         raise ValueError("base point does not lie on the quadric")
-    if all(x == 0 for x in mat_vec(q.gram, vv)):
+    gv = mat_vec(q.gram, vv)
+    if all(x == 0 for x in gv):
         raise ValueError("base point lies in the radical; all secants degenerate")
     avoid_forms = [vec(l) for l in avoid]
     v_key = canonical_vector(vv)
@@ -716,7 +724,7 @@ def sample_points(
     for w in itertools.islice(iter_primitive_vectors(q.nvars), max_directions):
         if w == v_key:
             continue
-        res = second_intersection(q, vv, w)
+        res = _residual(q, vv, gv, w)
         if res is None or res.tangent:
             continue
         key = canonical_vector(res.point)

@@ -195,6 +195,45 @@ def plant_null_form(rng, n: int, hmax: int):
             return form, tuple(d)
 
 
+def plant_sparse_form(rng, n: int, hmax: int = 4):
+    """A sparse planted null form: 4n nonzero entries at random sorted keys
+    plus the (0, 0, 0) entry, and an integer point D = (1, ...) with
+    cube(D) = 0 and T(D, D, .) not identically zero.  As in plant_null_form,
+    d_0 = 1 makes cube(D) linear in d_000 with unit coefficient."""
+    while True:
+        d = [rng.randint(-2, 2) for _ in range(n)]
+        d[0] = 1
+        entries = {}
+        while len(entries) < 4 * n:
+            key = tuple(sorted(rng.randrange(n) for _ in range(3)))
+            if key != (0, 0, 0):
+                entries[key] = rng.choice((-1, 1)) * rng.randint(1, hmax)
+        value = -int(IntersectionForm(n, entries).cube(d))
+        if value:
+            entries[(0, 0, 0)] = value
+        form = IntersectionForm(n, entries)
+        assert form.cube(d) == 0
+        if form.numerical_dimension(d) >= 2:
+            return form, tuple(d)
+
+
+def key_shape_forms(rng, n: int, hmax: int = 5) -> list[IntersectionForm]:
+    """One form per sorted key of rank n holding that entry alone (shapes
+    iii, iik, ijj and ijk at every position), then a few forms with one
+    random entry of each shape."""
+    forms = [
+        IntersectionForm(n, {key: rng.choice((-1, 1)) * rng.randint(1, hmax)})
+        for key in sorted_triples(n)
+    ]
+    for _ in range(4):
+        i, j, k = sorted(rng.sample(range(n), 3))
+        keys = ((i, i, i), (i, i, k), (i, k, k), (i, j, k))
+        forms.append(IntersectionForm(
+            n, {key: rng.choice((-1, 1)) * rng.randint(1, hmax) for key in keys}
+        ))
+    return forms
+
+
 def plant_reducible_form(rng, n: int, qmax: int = 30, lmax: int = 3):
     """The form of the cubic 6 L Q, with L a linear form with a unit pivot and
     Q a dense nondegenerate indefinite integer Gram matrix, together with an

@@ -32,7 +32,7 @@ from nullcone.cli import fixture_names, load_fixture, parse_input
 from nullcone.exactmath import canonical_vector
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
 
-from helpers import annihilator_c2, divisor_coords, plant_null_form
+from helpers import annihilator_c2, divisor_coords, plant_null_form, plant_sparse_form
 
 EXPECTED = {
     "nefpsef_cube_positive": (Conclusion.CERTIFIED, RULE_NEFPSEF),
@@ -302,3 +302,19 @@ def test_rank20_planted_null_form_certifies_under_a_second():
     assert cert.rule == RULE_MAIN_IRREDUCIBLE
     assert replay(form, c2, cert)
     assert elapsed < 1.0, f"rank-20 certify took {elapsed:.2f} s"
+
+
+def test_sparse_rank200_certify_and_replay_under_a_second():
+    # sparse planted forms (about 4n entries, as in toric hypersurface data):
+    # every evaluation costs O(entries), and the linear-factor search tests
+    # each section on its few terms, so rank 200 stays far below a second
+    rng = random.Random(2000)
+    for _ in range(4):
+        form, d = plant_sparse_form(rng, 200)
+        c2 = annihilator_c2(rng, d, form.square_class(d).coords)
+        start = time.perf_counter()
+        cert = certify(form, c2, d)
+        assert replay(form, c2, cert)
+        elapsed = time.perf_counter() - start
+        assert cert.rule == RULE_MAIN_IRREDUCIBLE
+        assert elapsed < 1.0, f"rank-200 sparse certify plus replay took {elapsed:.2f} s"

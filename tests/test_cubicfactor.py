@@ -1,6 +1,7 @@
 """Cubic factorization over the rationals."""
 
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from nullcone.cubicfactor import (
     FactorKind,
     Factorization,
+    _coordinate_sections,
+    _vanishes_at,
     expand_cubic,
     factor_over_Q,
     factor_quadratic_form,
@@ -21,6 +24,7 @@ from helpers import (
     SECTION_DECOY_CUBIC,
     det,
     is_exact,
+    key_shape_forms,
     nonzero_vector,
     random_form,
     random_gram,
@@ -55,6 +59,20 @@ def test_expand_cubic_multiplicity_rule():
     poly = expand_cubic(form)
     assert poly.coeff((2, 1, 0)) == 3
     assert poly.coeff((1, 1, 1)) == 6
+
+
+def test_expand_cubic_vs_ordered_sum():
+    # the sum over ordered index triples of d_sorted(abc) x_a x_b x_c
+    rng = random.Random(44)
+    for form in key_shape_forms(rng, 4) + [random_form(rng, 4, 5)]:
+        terms: dict = {}
+        for key in itertools.product(range(4), repeat=3):
+            v = form.entries.get(tuple(sorted(key)), 0)
+            e = [0] * 4
+            for i in key:
+                e[i] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + v
+        assert expand_cubic(form) == Poly(4, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +197,77 @@ def test_factor_random_products_roundtrip():
         r = factor_over_Q(f)
         assert r.kind is not FactorKind.IRREDUCIBLE
         assert r.reconstruct(n) == f
+
+
+def _random_form_poly(rng, n: int, d: int) -> Poly:
+    """A nonzero form of degree d with coefficients k / den, den in 1, 2, 3."""
+    while True:
+        terms = {}
+        for key in itertools.combinations_with_replacement(range(n), d):
+            if rng.random() < 0.5:
+                e = [0] * n
+                for i in key:
+                    e[i] += 1
+                terms[tuple(e)] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        f = Poly(n, terms)
+        if not f.is_zero:
+            return f
+
+
+def test_coordinate_sections_vs_evaluate():
+    # the line and plane coefficients read in one pass agree with f itself
+    rng = random.Random(45)
+    for _ in range(40):
+        n, d = rng.randint(2, 5), rng.choice((2, 3))
+        f = _random_form_poly(rng, n, d)
+        p, a = rng.sample(range(n), 2)
+        lines, planes = _coordinate_sections(f, p, a, d)
+        assert list(lines) == list(planes) == [i for i in range(n) if i not in (p, a)]
+        for i, coeffs in lines.items():
+            for k in range(d + 1):
+                e = [0] * n
+                e[p], e[i] = d - k, k
+                assert coeffs[k] == f.coeff(tuple(e))
+        for i, coeffs in planes.items():
+            for s in (0, 1, -2, Fraction(2, 3), Fraction(-5, 4)):
+                point = [0] * n
+                point[p], point[a], point[i] = s, 1, 1
+                value = f.evaluate(point)
+                assert sum(c * frac(s) ** m for m, c in enumerate(coeffs)) == value
+                assert _vanishes_at(coeffs, frac(s)) == (value == 0)
+
+
+def test_vanishes_at_fractional_roots():
+    # (3/5)(s - 2/3)(s + 1/2) s, ascending coefficients
+    coeffs = [0, Fraction(-1, 5), Fraction(-1, 10), Fraction(3, 5)]
+    for s in (0, Fraction(2, 3), Fraction(-1, 2)):
+        assert _vanishes_at(coeffs, frac(s))
+    for s in (1, -1, Fraction(3, 2), Fraction(1, 2)):
+        assert not _vanishes_at(coeffs, frac(s))
+
+
+def test_factor_fractional_cofactor_and_roots():
+    # linear factors with fractional coefficients put fractional roots on the
+    # coordinate lines and planes; the cofactors have Fraction coefficients
+    rng = random.Random(46)
+    fracs = [Fraction(k, q) for k in range(-4, 5) for q in (1, 2, 3, 5) if k]
+    for trial in range(30):
+        n = rng.randint(2, 5)
+        l = [Fraction(1)] + [rng.choice(fracs + [0]) for _ in range(n - 1)]
+        rng.shuffle(l)
+        if trial % 2:
+            other = _random_form_poly(rng, n, 2)
+        else:
+            other = lin([rng.choice(fracs) for _ in range(n)]) * lin(
+                [rng.choice(fracs) for _ in range(n)]
+            )
+        f = lin(l) * other * Fraction(rng.randint(1, 7), rng.choice((2, 3)))
+        results = [factor_over_Q(f, seed) for seed in range(3)]
+        for r in results:
+            assert r.kind is not FactorKind.IRREDUCIBLE
+            assert r.reconstruct(n) == f
+            assert canonical_vector(l) in r.linears
+            assert r == results[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nullcone.exactmath import kernel_basis
 from nullcone.nsring import (
     Divisor,
     IntersectionForm,
@@ -15,7 +16,7 @@ from nullcone.nsring import (
     validate_input,
 )
 
-from helpers import is_exact, random_form, nonzero_vector
+from helpers import is_exact, key_shape_forms, random_form, nonzero_vector
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,70 @@ def test_numerical_dimension_ladder():
         assert nu == _brute_nu(form, d)
         seen.add(nu)
     assert seen == {0, 1, 2, 3}
+
+
+def test_monomials_are_the_ordered_sum_coefficients():
+    # w of (i, j, k, w) counts every ordered index triple sorting to ijk
+    rng = random.Random(11)
+    for form in key_shape_forms(rng, 4) + [random_form(rng, 4, 5)]:
+        expect: dict = {}
+        for key in itertools.product(range(4), repeat=3):
+            s = tuple(sorted(key))
+            if s in form.entries:
+                expect[s] = expect.get(s, 0) + form.entries[s]
+        assert {(i, j, k): w for i, j, k, w in form.monomials} == expect
+
+
+def test_kernels_vs_ordered_sums_on_every_key_shape():
+    # triple, cube, the square class and nu on forms holding keys iii, iik,
+    # ijj and ijk, at fractional points whose support varies, so that every
+    # nu occurs and each key shape meets both zero and nonzero coordinates
+    rng = random.Random(12)
+    n = 3
+    seen = set()
+    for form in key_shape_forms(rng, n):
+        for _ in range(3):
+            support = rng.sample(range(n), rng.randint(1, n))
+            d = tuple(
+                Fraction(rng.randint(1, 4) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+                if i in support else 0
+                for i in range(n)
+            )
+            b, c = _rational_vector(rng, n), _rational_vector(rng, n)
+            assert form.triple(d, b, c) == _brute_triple(form, d, b, c)
+            assert form.triple(d, d, c) == _brute_triple(form, d, d, c)
+            assert form.cube(d) == _brute_triple(form, d, d, d)
+            expect = tuple(_brute_triple(form, d, d, _unit(n, k)) for k in range(n))
+            assert form.square_class(d).coords == expect
+            nu = form.numerical_dimension(d)
+            assert nu == _brute_nu(form, d)
+            seen.add(nu)
+    assert seen == {0, 1, 2, 3}
+
+
+def test_numerical_dimension_on_cones_over_a_line():
+    # l^3 has d_ijk = l_i l_j l_k, and 3 l^2 m gives
+    # T(a, b, c) = l(a) l(b) m(c) + l(a) m(b) l(c) + m(a) l(b) l(c); at d with
+    # l(d) = 0, T(d, d, .) = 0 and T(d, x, y) = m(d) l(x) l(y), so nu(d) is 0
+    # and 1 or 0 as m(d) is nonzero or zero; every pair value cancels
+    rng = random.Random(13)
+    n = 4
+    for _ in range(10):
+        l, m = nonzero_vector(rng, n, 3), nonzero_vector(rng, n, 3)
+        cube = IntersectionForm(n, {
+            (i, j, k): l[i] * l[j] * l[k]
+            for i, j, k in itertools.combinations_with_replacement(range(n), 3)
+        })
+        cone = IntersectionForm(n, {
+            (i, j, k): l[i] * l[j] * m[k] + l[i] * m[j] * l[k] + m[i] * l[j] * l[k]
+            for i, j, k in itertools.combinations_with_replacement(range(n), 3)
+        })
+        for basis in kernel_basis([list(l)]):
+            scale = Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+            d = tuple(scale * x for x in basis)
+            assert cube.numerical_dimension(d) == 0
+            m_d = sum(a * b for a, b in zip(m, d))
+            assert cone.numerical_dimension(d) == (1 if m_d else 0)
 
 
 def test_rank_mismatch_raises():
