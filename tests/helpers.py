@@ -106,6 +106,41 @@ def seeded_quadric_forms(rng, count: int) -> list[QuadraticForm]:
     return forms
 
 
+def seeded_rank5_forms(rng, count: int) -> list[QuadraticForm]:
+    """Nondegenerate forms in 5-8 variables, cycling through integral Grams,
+    Grams with denominators 2 and 3, definite Grams U^T D U (the entries of
+    D of one sign), and Grams U^T D U with a hyperbolic pair s a^2 / c,
+    -s b^2 / c' planted in D among random entries; U is unimodular and the
+    entries of D have denominators 1-3."""
+
+    def entry(sign):
+        return sign * Fraction(rng.randint(1, 9), rng.randint(1, 3))
+
+    forms = []
+    while len(forms) < count:
+        n = rng.randint(5, 8)
+        kind = len(forms) % 5
+        if kind < 3:
+            gram = random_gram(rng, n, 6, den=kind + 1)
+        else:
+            sign = rng.choice((1, -1))
+            d = [entry(sign if kind == 3 else rng.choice((1, -1))) for _ in range(n)]
+            if kind == 4:
+                i, j = rng.sample(range(n), 2)
+                s = rng.choice((1, -1)) * rng.choice((1, 2, 3, 5, 6, 7))
+                d[i] = Fraction(s * rng.randint(1, 6) ** 2, rng.randint(1, 3))
+                d[j] = Fraction(-s * rng.randint(1, 6) ** 2, rng.randint(1, 3))
+            u, _ = unimodular_matrix(rng, n)
+            gram = [
+                [sum(u[k][i] * d[k] * u[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        q = QuadraticForm(tuple(tuple(row) for row in gram))
+        if 0 not in diagonalize(q)[1]:
+            forms.append(q)
+    return forms
+
+
 def rational_diagonalize(q: QuadraticForm):
     """Reference congruence diagonalization in rational arithmetic: P with
     P^T S P diagonal, eliminating each pivot row by col_i += c col_k."""

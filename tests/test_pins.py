@@ -23,12 +23,14 @@ from helpers import (
     random_linear_poly,
     random_quadric_poly,
     seeded_quadric_forms,
+    seeded_rank5_forms,
 )
 
 PLANTED_CERTIFICATES_SHA256 = "2a945233b3a05a240d84cede099f6a5bc1949fb8e1b1dd4ccc7f4a314aada11e"
 FACTOR_RESULTS_SHA256 = "bd9cbaa43353345e2d811c9be900d1d08d288b292517111f9ecb5651619ef770"
 REDUCIBLE_CERTIFICATES_SHA256 = "edfafbac45f5a7be3882f03efcf23960d0acdaa591e29a7e486ef2e75233022c"
 QUADRIC_LAYER_SHA256 = "75564ba6253315876bd7eaa71280e312b768b51994404d4c139c05728e0c9efa"
+QUADRIC_LAYER_RANK5_SHA256 = "fdb3ba5636c3ce42bcdf1ca7e2a56c2f80202778153d6f042929ae3c9bf46d9e"
 
 
 def _sha256(text: str) -> str:
@@ -112,3 +114,14 @@ def test_quadric_layer_pinned():
             None if split is None else [list(split[0]), list(split[1]), str(split[2])],
         ])
     assert _sha256(json.dumps(rows)) == QUADRIC_LAYER_SHA256
+
+
+def test_quadric_layer_rank5_pinned():
+    # nondegenerate forms in 5-8 variables: integral, with denominators 2 and
+    # 3, definite, and with a hyperbolic pair planted under a unimodular
+    # change of basis; the verdicts, witnesses and obstructions
+    rows = [
+        [_verdict_row(isotropic_vector(q)), _verdict_row(is_isotropic(q))]
+        for q in seeded_rank5_forms(random.Random(513), 100)
+    ]
+    assert _sha256(json.dumps(rows)) == QUADRIC_LAYER_RANK5_SHA256
