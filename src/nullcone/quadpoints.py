@@ -333,16 +333,17 @@ def _relevant_primes(diag: Sequence[int]) -> list[int]:
     return sorted(primes)
 
 
-def _local_obstruction(diag: Sequence[int]):
-    """First place where the squarefree diagonal form has no nontrivial zero.
+def _local_obstruction(diag: Sequence[Rat]):
+    """First place where the diagonal form has no nontrivial zero.
 
-    Returns 'real', a prime, or None when the form is isotropic.  The rank-4
-    anisotropy test is: discriminant a local square and Hasse invariant equal
-    to -(-1,-1)_p.  Rank >= 5 indefinite forms are always isotropic.
+    Returns 'real', a prime, or None when the form is isotropic.  From rank 5
+    on, only the signs are read: by Meyer's theorem an indefinite form in 5 or
+    more variables is isotropic (Serre, A Course in Arithmetic, IV 3.2, Cor. 2),
+    so there the entries may be any nonzero rationals.  Below rank 5 they must
+    be squarefree integers.  The rank-4 anisotropy test is: discriminant a
+    local square and Hasse invariant equal to -(-1,-1)_p.
     """
     r = len(diag)
-    if r <= 1:
-        return "real"
     if all(d > 0 for d in diag) or all(d < 0 for d in diag):
         return "real"
     if r >= 5:
@@ -351,10 +352,7 @@ def _local_obstruction(diag: Sequence[int]):
         target = -diag[0] * diag[1]
         if is_perfect_square(target) is not None:
             return None
-        for p, e in sorted(factorint(target).items()):
-            if e % 2:
-                return p
-        raise AssertionError("non-square with all even valuations")
+        return next(p for p, e in sorted(factorint(target).items()) if e % 2)
     if r == 3:
         a, b, c = diag
         for place in ["real"] + _relevant_primes(diag):
@@ -382,16 +380,9 @@ class IsotropyVerdict:
     radical_basis: tuple[tuple[int, ...], ...] = ()
 
 
-def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[int], list[int]] | None:
-    """Diagonalize and scale to a squarefree integer diagonal.
-
-    Returns (P, squarefree parts s_i, multipliers m_i) where a zero
-    w of sum s_i w_i^2 lifts to the original form via y_i = m_i w_i, x = P y;
-    None when a diagonal entry is 0, that is, when the form is degenerate.
-    """
-    p, diag = diagonalize(q)
-    if 0 in diag:
-        return None
+def _squarefree_scaling(diag: Sequence[Rat]) -> tuple[list[int], list[int]]:
+    """(squarefree parts s_i, multipliers m_i) of a nonzero diagonal: a zero w
+    of sum s_i w_i^2 lifts to the zero y_i = m_i w_i of sum diag_i y_i^2."""
     # y_i = den_i z_i turns the form into sum (num_i den_i) z_i^2 over the
     # integers; writing num_i den_i = s_i t_i^2 and z_i = (T / t_i) w_i with
     # T = lcm(t_i) clears every square part at once.
@@ -401,26 +392,34 @@ def _squarefree_diagonal(q: QuadraticForm) -> tuple[Mat, list[int], list[int]] |
         s_parts.append(s)
         ts.append(t)
     t_lcm = math.lcm(*ts)
-    mults = [d.denominator * (t_lcm // t) for d, t in zip(diag, ts)]
-    return p, s_parts, mults
+    return s_parts, [d.denominator * (t_lcm // t) for d, t in zip(diag, ts)]
 
 
-def _decide_isotropy(q: QuadraticForm) -> tuple[IsotropyVerdict, tuple | None]:
-    """The witness-free verdict, with the `_squarefree_diagonal` it was read
-    from (None for a degenerate form)."""
+def _decide_isotropy(q: QuadraticForm) -> tuple[IsotropyVerdict, Mat, list[Rat], tuple | None]:
+    """The witness-free verdict, with the `diagonalize` output (P, diagonal)
+    it was read from and, below rank 5, the diagonal's `_squarefree_scaling`.
+
+    A form is degenerate exactly when a diagonal entry is 0.  From rank 5 on
+    the verdict is read from the diagonal's signs alone, by Meyer's theorem
+    (an indefinite form in 5 or more variables is isotropic), so nothing is
+    factored; ranks 2-4 need the primes of the squarefree parts.
+    """
     if q.is_zero:
         raise ValueError("the zero form is not a valid quadric")
-    split = _squarefree_diagonal(q)
-    if split is None:
-        return IsotropyVerdict(IsotropyKind.DEGENERATE, radical_basis=tuple(radical(q))), None
-    obstruction = _local_obstruction(split[1])
+    p, diag = diagonalize(q)
+    if 0 in diag:
+        verdict = IsotropyVerdict(IsotropyKind.DEGENERATE, radical_basis=tuple(radical(q)))
+        return verdict, p, diag, None
+    split = _squarefree_scaling(diag) if len(diag) < 5 else None
+    obstruction = _local_obstruction(diag if split is None else split[0])
     if obstruction is None:
-        return IsotropyVerdict(IsotropyKind.ISOTROPIC), split
-    return IsotropyVerdict(IsotropyKind.ANISOTROPIC, obstruction=obstruction), split
+        return IsotropyVerdict(IsotropyKind.ISOTROPIC), p, diag, split
+    return IsotropyVerdict(IsotropyKind.ANISOTROPIC, obstruction=obstruction), p, diag, split
 
 
 def is_isotropic(q: QuadraticForm) -> IsotropyVerdict:
-    """Decide rational isotropy by local conditions, without a witness."""
+    """Decide rational isotropy by local conditions, without a witness; from
+    rank 5 on by the signs of the diagonal alone."""
     return _decide_isotropy(q)[0]
 
 
@@ -573,13 +572,22 @@ def _dense_zero_search(gram: list[list[int]], budget: int) -> tuple[int, ...] | 
     return None
 
 
-def _hyperbolic_pair(s: Sequence[int]) -> tuple[int, ...] | None:
-    """e_i + e_j for the first pair with s_i = -s_j, else None."""
-    for i, j in itertools.combinations(range(len(s)), 2):
-        if s[i] == -s[j]:
-            w = [0] * len(s)
-            w[i] = w[j] = 1
-            return tuple(w)
+def _hyperbolic_pair(diag: Sequence[Rat]) -> list[int] | None:
+    """A zero a e_i + b e_j of sum diag_k y_k^2 for the first pair i < j of
+    opposite square classes, else None; nothing is factored.
+
+    With n_k = num_k den_k, diag_i = -diag_j up to squares exactly when
+    -n_i n_j is a positive square r^2, and then a : b = den_i |n_j| : den_j r.
+    On squarefree parts this is the first pair with s_i = -s_j.
+    """
+    ns = [d.numerator * d.denominator for d in diag]
+    for i, j in itertools.combinations(range(len(ns)), 2):
+        prod = -ns[i] * ns[j]
+        r = math.isqrt(prod) if prod > 0 else 0
+        if r * r == prod:
+            y = [0] * len(ns)
+            y[i], y[j] = diag[i].denominator * abs(ns[j]), diag[j].denominator * r
+            return y
     return None
 
 
@@ -598,7 +606,7 @@ def _diagonal_zero(s: list[int]) -> tuple[int, ...]:
     """
     pair = _hyperbolic_pair(s)
     if pair is not None:
-        return pair
+        return primitive_vector(pair)
     r = len(s)
     if r == 2:
         raise AssertionError("an isotropic squarefree binary form is a hyperbolic pair")
@@ -631,20 +639,24 @@ def _diagonal_zero(s: list[int]) -> tuple[int, ...]:
 def isotropic_vector(q: QuadraticForm) -> IsotropyVerdict:
     """Like is_isotropic, but an isotropic verdict carries an explicit witness.
 
-    A hyperbolic pair of the squarefree diagonal gives the witness at once,
-    and rank 3 takes the ternary descent.  From rank 4 on, a height-ordered
-    search on the original Gram matrix comes first, since small zeros of the
-    input need not be small in the diagonal basis; if its budget runs out,
-    `_diagonal_zero` constructs one.  Every isotropic form gets a witness.
+    A hyperbolic pair of the diagonal gives the witness at once, read off
+    perfect squares without factoring.  From rank 4 on, a height-ordered
+    search on the original Gram matrix comes next, since small zeros of the
+    input need not be small in the diagonal basis.  Only if that budget runs
+    out, or at rank 3, are the squarefree parts computed and `_diagonal_zero`
+    (the ternary descent or the exact split) constructs a zero; so a form of
+    rank 5 or more whose zero the pair or the search finds is never factored
+    (Meyer's theorem decides it).  Every isotropic form gets a witness.
     """
-    base, split = _decide_isotropy(q)
+    base, p, diag, split = _decide_isotropy(q)
     if base.kind is not IsotropyKind.ISOTROPIC:
         return base
-    p, s_parts, mults = split
-    x = None
-    if len(s_parts) >= 4 and _hyperbolic_pair(s_parts) is None:
+    pair = _hyperbolic_pair(diag)
+    x = None if pair is None else mat_vec(p, pair)
+    if x is None and len(diag) >= 4:
         x = _dense_zero_search(_integral_gram(q)[1], 300_000)
     if x is None:
+        s_parts, mults = split or _squarefree_scaling(diag)
         w = _diagonal_zero(s_parts)
         x = mat_vec(p, [m * wi for m, wi in zip(mults, w)])
     x = canonical_vector(x)

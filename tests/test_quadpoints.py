@@ -1,13 +1,17 @@
 """Quadratic forms: local-global decisions and rational point machinery."""
 
 from fractions import Fraction
+import itertools
+import math
 import random
+import time
 
 import pytest
 
-from nullcone.exactmath import Poly, factorint, vec_dot
+from nullcone.exactmath import Poly, canonical_vector, factorint, frac, mat_vec, vec_dot
 from nullcone.quadpoints import (
     _diagonal_zero,
+    _hyperbolic_pair,
     _local_obstruction,
     InsufficientPoints,
     IsotropyKind,
@@ -34,6 +38,8 @@ from helpers import (
     random_gram,
     rational_diagonalize,
     seeded_quadric_forms,
+    seeded_rank5_forms,
+    unimodular_matrix,
 )
 
 
@@ -349,6 +355,91 @@ def test_isotropic_vector_without_the_search_uses_the_split(monkeypatch):
         w = isotropic_vector(q).witness
         assert any(w) and q.evaluate(w) == 0
         found += 1
+
+
+def test_rank5_isotropy_factors_nothing(monkeypatch):
+    # from rank 5 on the diagonal's signs decide (Meyer's theorem), and the
+    # hyperbolic pair and the Gram-matrix search find their zeros without a
+    # prime: neither the decision nor such a witness may call factorint
+    forms = seeded_rank5_forms(random.Random(514), 60)
+    reducible = []
+    rng = random.Random(515)
+    for n in (5, 6, 7, 5):
+        form, d = plant_reducible_form(rng, n)
+        reducible.append((form, annihilator_c2(rng, d, form.square_class(d).coords), d))
+
+    def forbidden(n):
+        raise AssertionError(f"factorint({n}) on the rank >= 5 path")
+
+    monkeypatch.setattr(quadpoints, "factorint", forbidden)
+    kinds, pairs = [], 0
+    for q in forms:
+        verdict = is_isotropic(q)
+        kinds.append(verdict.kind)
+        if verdict.kind is IsotropyKind.ANISOTROPIC:
+            assert verdict.obstruction == "real"
+            continue
+        pairs += _hyperbolic_pair(diagonalize(q)[1]) is not None
+        w = isotropic_vector(q).witness
+        assert any(w) and q.evaluate(w) == 0
+    assert kinds.count(IsotropyKind.ANISOTROPIC) >= 10
+    assert kinds.count(IsotropyKind.ISOTROPIC) >= 40 and pairs >= 10
+    for form, c2, d in reducible:
+        assert certify(form, c2, d).rule == "thm_main_reducible"
+
+
+def test_dense_rank7_isotropy_is_fast():
+    # dense rank-7 Grams with entries up to 1000 have diagonal entries of
+    # about 120 bits; deciding them by their signs factors none of them
+    forms = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        gram = [[0] * 7 for _ in range(7)]
+        for i in range(7):
+            for j in range(i, 7):
+                gram[i][j] = gram[j][i] = rng.randint(-1000, 1000)
+        forms.append(QuadraticForm(tuple(tuple(row) for row in gram)))
+    start = time.perf_counter()
+    for q in forms:
+        assert is_isotropic(q).kind is IsotropyKind.ISOTROPIC
+        w = isotropic_vector(q).witness
+        assert any(w) and q.evaluate(w) == 0
+    assert time.perf_counter() - start < 0.5
+
+
+def test_hyperbolic_pair_matches_the_squarefree_pair():
+    # diagonals s_k a_k^2 / c_k: the perfect-square product test finds the
+    # first pair with s_i = -s_j, and its witness is, up to a positive
+    # factor, the lift P (m_i e_i + m_j e_j) through the squarefree scaling
+    rng = random.Random(63)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        diag = [
+            frac(Fraction(rng.choice((1, -1)) * rng.choice((1, 2, 3, 6)) * rng.randint(1, 12) ** 2,
+                          rng.randint(1, 4)))
+            for _ in range(n)
+        ]
+        splits = [squarefree_split(d.numerator * d.denominator) for d in diag]
+        s = [sp[0] for sp in splits]
+        first = next(
+            ((i, j) for i, j in itertools.combinations(range(n), 2) if s[i] == -s[j]), None
+        )
+        y = _hyperbolic_pair(diag)
+        if first is None:
+            assert y is None and _hyperbolic_pair(s) is None
+            continue
+        support = tuple(k for k in range(n) if y[k])
+        assert support == first
+        assert tuple(k for k in range(n) if _hyperbolic_pair(s)[k]) == first
+        assert sum(d * v * v for d, v in zip(diag, y)) == 0
+        t_lcm = math.lcm(*(t for _, t in splits))
+        mults = [d.denominator * (t_lcm // t) for d, (_, t) in zip(diag, splits)]
+        old = [mults[k] if k in first else 0 for k in range(n)]
+        p, _ = unimodular_matrix(rng, n)
+        assert canonical_vector(mat_vec(p, y)) == canonical_vector(mat_vec(p, old))
+        checked += 1
+    assert checked >= 50
 
 
 def test_nondiagonal_isotropic():
