@@ -4,25 +4,29 @@ The cubic attached to intersection data is expanded exactly and split into
 linear and quadratic pieces when possible.  One linear-factor search, for
 forms of any degree, answers every factoring question: it splits a linear
 factor off the cubic, splits the quadric cofactor, splits a quadratic form
-and recognizes a perfect cube.  Every returned factorization is re-expanded
-and compared against the input before it is handed back.
+and recognizes a perfect cube.
+
+The content is taken once, f = c F, and everything runs on the primitive
+integral F in ints.  Candidates are primitive, so by Gauss's lemma (S. Lang,
+Algebra, IV 2) a cofactor is integral and primitive.  Every factorization is
+re-expanded and compared against the input f before it is handed back.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .exactmath import (
     Poly,
     Rat,
     canonical_vector,
-    exact_divide,
-    frac,
     height,
+    integral_divide,
     iter_integer_vectors,
+    primitive_part,
     rational_roots,
     spiral_key,
 )
@@ -54,12 +58,10 @@ class Factorization:
     def reconstruct(self, nvars: int) -> Poly:
         if self.kind is FactorKind.IRREDUCIBLE:
             raise ValueError("an irreducible cubic has no factored expansion")
-        poly = Poly.constant(nvars, self.scalar)
-        for l in self.linears:
-            poly = poly * Poly.linear(l)
+        factors = [Poly.linear(l) for l in self.linears]
         if self.quadric is not None:
-            poly = poly * self.quadric.to_poly()
-        return poly
+            factors.append(self.quadric.to_poly())
+        return functools.reduce(operator.mul, factors) * self.scalar
 
 
 def expand_cubic(form: IntersectionForm) -> Poly:
@@ -76,8 +78,8 @@ def expand_cubic(form: IntersectionForm) -> Poly:
 
 
 def _divided(f: Poly, cand: tuple[int, ...]) -> tuple[tuple[int, ...], Poly] | None:
-    """(cand, f / cand) when the linear form cand divides f, else None."""
-    cof = exact_divide(f, Poly.linear(cand))
+    """(cand, f / cand) when the primitive cand divides the integral f."""
+    cof = integral_divide(f, Poly.linear(cand))
     return None if cof is None else (cand, cof)
 
 
@@ -184,7 +186,7 @@ def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[tuple[int, ...],
 
 
 def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | None:
-    """A canonical linear factor of the nonzero form f and its cofactor, or None."""
+    """A canonical linear factor of the nonzero integral form f and its cofactor, or None."""
     n = f.nvars
     # f is homogeneous, so any term gives its degree, and an exponent with an
     # entry d is a pure power x_i^d
@@ -193,7 +195,7 @@ def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | No
     if pivots:
         return _linear_factor_with_pivot(f, pivots[seed % len(pivots)], d)
     # no pure power: shear x_i -> x_i + c_i x_p for a point c with c_p = 1
-    # and f(c) != 0, which is the x_p^d coefficient of the sheared form
+    # and f(c) != 0, which is the x_p^d coefficient of the (integral) sheared form
     occupied = [i for i in range(n) if any(e[i] for e in f.terms)]
     p = occupied[seed % len(occupied)]
     for cvec in iter_integer_vectors(n - 1):
@@ -213,23 +215,10 @@ def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | No
     return found
 
 
-def _primitive_poly(p: Poly) -> tuple[Rat, Poly]:
-    """Write p = scalar * q with q having coprime integer coefficients and a
-    positive lex-leading coefficient."""
-    lead = max(p.terms)
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    nums = [int(c * den) for c in p.terms.values()]
-    g = math.gcd(*nums)
-    scale = Fraction(g, den)
-    if p.terms[lead] < 0:
-        scale = -scale
-    return frac(scale), Poly(p.nvars, {e: Fraction(c, scale) for e, c in p.terms.items()})
-
-
-def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], Rat] | None:
-    """(l1, l2, scalar) with q = scalar * l1 * l2 for a nonzero quadratic
-    form q, the l_i canonical and (height, spiral)-sorted, or None when q is
-    irreducible over the rationals."""
+def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """(l1, l2, sign) with q = sign * l1 * l2 for a primitive integral
+    quadratic form q (l1 l2 is primitive too), the l_i canonical and
+    (height, spiral)-sorted, or None when q is irreducible over Q."""
     found = _find_linear_factor(q, 0)
     if found is None:
         return None
@@ -240,10 +229,10 @@ def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], Rat] | No
     pair = sorted((l1, canonical_vector(coords)), key=lambda v: (height(v), spiral_key(v)))
     prod = Poly.linear(pair[0]) * Poly.linear(pair[1])
     lead = max(prod.terms)
-    scalar = frac(Fraction(q.coeff(lead), prod.coeff(lead)))
-    if scalar * prod != q:
+    sign = q.coeff(lead) // prod.coeff(lead)
+    if sign * prod != q:
         raise AssertionError("quadric split failed verification")
-    return pair[0], pair[1], scalar
+    return pair[0], pair[1], sign
 
 
 def factor_quadratic_form(q: QuadraticForm):
@@ -251,7 +240,9 @@ def factor_quadratic_form(q: QuadraticForm):
     q = scalar * l1 * l2, or None when q is irreducible over the rationals."""
     if q.is_zero:
         raise ValueError("the zero form does not factor meaningfully")
-    return _split_quadric(q.to_poly())
+    content, prim = primitive_part(q.to_poly())
+    split = _split_quadric(prim)
+    return None if split is None else (split[0], split[1], content * split[2])
 
 
 def is_perfect_cube_linear(f: Poly):
@@ -274,20 +265,22 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
         raise ValueError("cannot factor the zero cubic")
     if not f.is_homogeneous(3):
         raise ValueError("input must be a homogeneous cubic")
-    found = _find_linear_factor(f, seed)
+    scalar, prim_f = primitive_part(f)
+    found = _find_linear_factor(prim_f, seed)
     if found is None:
         return Factorization(FactorKind.IRREDUCIBLE, 1, (), None)
-    lin, cof = found
-    scalar, prim = _primitive_poly(cof)
+    lin, prim = found
+    # prim is primitive (Gauss's lemma): only its sign is left to normalize
+    if prim.terms[max(prim.terms)] < 0:
+        scalar, prim = -scalar, -prim
     split = _split_quadric(prim)
     if split is None:
         out = Factorization(
             FactorKind.LINEAR_TIMES_QUADRIC, scalar, (lin,), QuadraticForm.from_poly(prim)
         )
     else:
-        # f = lin * cof = scalar * lin * l2 * l3, in whichever order; prim
-        # and l2 * l3 are primitive (Gauss's lemma), so the split's sign is
-        # its whole scalar
+        # f = scalar * lin * prim = scalar * sign * lin * l2 * l3, in
+        # whichever order
         l2, l3, sign = split
         scalar = scalar * sign
         triple = [lin, l2, l3]
@@ -295,9 +288,7 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
         if len(distinct) == 1:
             kind, ordered = FactorKind.LINEAR_CUBE, (distinct[0],) * 3
         elif len(distinct) == 2:
-            counts = {d: triple.count(d) for d in distinct}
-            sq = next(d for d in distinct if counts[d] == 2)
-            other = next(d for d in distinct if counts[d] == 1)
+            sq, other = sorted(distinct, key=triple.count, reverse=True)
             kind, ordered = FactorKind.LINEAR_SQUARE_TIMES_LINEAR, (sq, sq, other)
         else:
             kind, ordered = FactorKind.THREE_LINEAR, tuple(distinct)

@@ -4,16 +4,18 @@ Everything in this package is computed over the rationals with no rounding.
 One scalar rule, decided by `frac` alone: an exact value is an ``int`` unless
 it is fractional, and then a reduced ``fractions.Fraction``.  `vec` and the
 constructors of `Poly`, divisor classes and quadratic forms apply it, so
-integral data is held, and computed on, as ints.  Each true division is an
-explicit ``Fraction(a, b)``; ``/`` is never used, since on two ints it gives
-a float.  The lattice enumerators share one lazy depth-first walk in
-(height, spiral-lex) order, whose cost grows with the vectors consumed
-rather than with the rank.
+integral data is held, and computed on, as ints.  Each true division is
+`ratio(a, b)`, a ``Fraction`` only when fractional; ``/`` is never used, since
+on two ints it gives a float.  Polynomial division runs in ints on primitive
+parts, the content taken once (Gauss's lemma).  The lattice enumerators share
+one lazy depth-first walk in (height, spiral-lex) order, on an explicit
+stack, whose cost grows with the vectors consumed rather than with the rank.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from operator import add, sub
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -30,6 +32,8 @@ def frac(x) -> Rat:
     string such as "3/2" becomes a Fraction, returned as an int when its
     denominator is 1.  Anything else (a float) raises TypeError.
     """
+    if type(x) is int:
+        return x
     if isinstance(x, int):
         return int(x)
     if isinstance(x, str):
@@ -37,6 +41,12 @@ def frac(x) -> Rat:
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
+
+
+def ratio(a: Rat, b: Rat) -> Rat:
+    """a over b under the scalar rule, building no Fraction for an integer."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def vec(values: Iterable) -> Vec:
@@ -71,6 +81,14 @@ class Poly:
         self.terms = clean
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict[Exponent, Rat]) -> "Poly":
+        """A Poly over computed terms, zeros dropped, with no frac call on ints."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = {e: c if type(c) is int else frac(c) for e, c in terms.items() if c}
+        return p
+
+    @classmethod
     def zero(cls, nvars: int) -> "Poly":
         return cls(nvars, {})
 
@@ -80,9 +98,7 @@ class Poly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls.linear([int(j == i) for j in range(nvars)])
 
     @classmethod
     def linear(cls, coords: Sequence) -> "Poly":
@@ -122,7 +138,7 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
@@ -142,10 +158,11 @@ class Poly:
             out: dict[Exponent, Rat] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     out[e] = out.get(e, 0) + c1 * c2
-            return Poly(self.nvars, out)
-        return Poly(self.nvars, {e: c * frac(other) for e, c in self.terms.items()})
+            return Poly._of(self.nvars, out)
+        s = frac(other)
+        return Poly._of(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -161,14 +178,7 @@ class Poly:
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
         pt = vec(point)
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
+        return sum(c * math.prod(x**k for x, k in zip(pt, e) if k) for e, c in self.terms.items())
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute x_i -> images[i] (all images share a variable count)."""
@@ -196,44 +206,60 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _leading(p: Poly) -> tuple[Exponent, Rat]:
-    e = max(p.terms)
-    return e, p.terms[e]
+def primitive_part(p: Poly) -> tuple[Rat, Poly]:
+    """(c, q) with p = c q, c > 0 and q integral and primitive; an integral p
+    is not rescaled, and a primitive one comes back as itself."""
+    nums = list(p.terms.values())
+    den = 1 if all(type(c) is int for c in nums) else math.lcm(*(c.denominator for c in nums))
+    if den > 1:
+        nums = [int(c * den) for c in nums]
+    g = math.gcd(*nums)
+    if g == 1 and den == 1:
+        return 1, p
+    return ratio(g, den), Poly._of(p.nvars, {e: c // g for e, c in zip(p.terms, nums)})
 
 
-def exact_divide(f: Poly, g: Poly) -> Poly | None:
-    """Exact quotient f/g, or None when g does not divide f.
+def integral_divide(f: Poly, g: Poly) -> Poly | None:
+    """Exact quotient f/g of an integral f by a primitive integral g, or None.
 
-    Plain lex division: whenever g | f the leading term of every partial
-    remainder is divisible by the leading term of g, so a single failed
-    reduction step proves non-divisibility.  The remainder is one dict,
-    updated in place term by term; the quotient Poly is built at the end.
-    """
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.nvars != g.nvars:
-        raise ValueError("variable-count mismatch")
-    le_g, lc_g = _leading(g)
+    Plain lex division in ints.  If g | f, each remainder's leading term is a
+    multiple of g's, by an integral coefficient (Gauss's lemma): one failed
+    step proves non-divisibility."""
+    le_g = max(g.terms)
+    lc_g = g.terms[le_g]
     g_tail = [(e, c) for e, c in g.terms.items() if e != le_g]
-    q: dict[Exponent, Rat] = {}
+    q: dict[Exponent, int] = {}
     r = dict(f.terms)
     while r:
         le_r = max(r)
-        lc_r = r.pop(le_r)
-        e = tuple(a - b for a, b in zip(le_r, le_g))
-        if any(k < 0 for k in e):
+        e = tuple(map(sub, le_r, le_g))
+        if min(e, default=0) < 0:
             return None
-        c = frac(Fraction(lc_r, lc_g))
+        c, rem = divmod(r.pop(le_r), lc_g)
+        if rem:
+            return None
         q[e] = c
         # r -= c x^e g; its leading term cancels lc_r exactly
         for eg, cg in g_tail:
-            m = tuple(a + b for a, b in zip(e, eg))
+            m = tuple(map(add, e, eg))
             v = r.get(m, 0) - c * cg
             if v:
                 r[m] = v
             else:
                 del r[m]
-    return Poly(f.nvars, q)
+    return Poly._of(f.nvars, q)
+
+
+def exact_divide(f: Poly, g: Poly) -> Poly | None:
+    """Exact quotient f/g, or None: with f = a F and g = b G for primitive F
+    and G, it is (a / b) (F / G), one Poly built around `integral_divide`."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.nvars != g.nvars:
+        raise ValueError("variable-count mismatch")
+    (a, big_f), (b, big_g) = primitive_part(f), primitive_part(g)
+    q, s = integral_divide(big_f, big_g), ratio(a, b)
+    return None if q is None else Poly(f.nvars, {e: c * s for e, c in q.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +337,6 @@ def factorint(n: int) -> dict[int, int]:
 # univariate rational roots
 
 
-def _strip(coeffs: list[Rat]) -> list[Rat]:
-    i = 0
-    while i < len(coeffs) and coeffs[i] == 0:
-        i += 1
-    return coeffs[i:]
-
-
 def _divisors(n: int) -> list[int]:
     """The positive divisors of n != 0, ascending, built from its factorization."""
     out = [1]
@@ -341,7 +360,7 @@ def _one_rational_root(coeffs: list[Rat]) -> Rat | None:
     of degree 1 or at least 3 (`rational_roots` solves quadratics itself)."""
     deg = len(coeffs) - 1
     if deg == 1:
-        return frac(Fraction(-coeffs[1], coeffs[0]))
+        return ratio(-coeffs[1], coeffs[0])
     if coeffs[-1] == 0:
         return 0
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -357,7 +376,7 @@ def _one_rational_root(coeffs: list[Rat]) -> Rat | None:
                     q_pow *= q
                     val = val * num + c * q_pow
                 if val == 0:
-                    return frac(Fraction(num, q))
+                    return ratio(num, q)
     return None
 
 
@@ -367,7 +386,7 @@ def rational_roots(coeffs: Sequence) -> list[Rat]:
     ``coeffs`` are descending; degenerate leading zeros are allowed but the
     polynomial must not be identically zero.
     """
-    cs = _strip([frac(c) for c in coeffs])
+    cs = list(itertools.dropwhile(lambda c: c == 0, map(frac, coeffs)))
     if not cs:
         raise ValueError("the zero polynomial has every point as a root")
     roots: list[Rat] = []
@@ -377,7 +396,7 @@ def rational_roots(coeffs: Sequence) -> list[Rat]:
             s = is_perfect_square(b * b - 4 * a * c)
             if s is None:
                 break
-            roots.extend([frac(Fraction(-b + s, 2 * a)), frac(Fraction(-b - s, 2 * a))])
+            roots.extend([ratio(-b + s, 2 * a), ratio(-b - s, 2 * a)])
             break
         r = _one_rational_root(cs)
         if r is None:
@@ -395,7 +414,7 @@ def is_perfect_square(q) -> Rat | None:
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return frac(Fraction(rn, rd))
+        return ratio(rn, rd)
     return None
 
 
@@ -427,7 +446,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
             continue
         m[r], m[piv] = m[piv], m[r]
         lead = m[r][col]
-        m[r] = [frac(Fraction(x, lead)) for x in m[r]]
+        m[r] = [ratio(x, lead) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
@@ -448,10 +467,11 @@ def primitive_vector(v: Sequence) -> tuple[int, ...]:
     w = [frac(x) for x in v]
     if all(x == 0 for x in w):
         return tuple(0 for _ in w)
-    den = math.lcm(*(x.denominator for x in w))
-    ints = [int(x * den) for x in w]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    if any(type(x) is not int for x in w):
+        den = math.lcm(*(x.denominator for x in w))
+        w = [int(x * den) for x in w]
+    g = math.gcd(*w)
+    return tuple(x // g for x in w)
 
 
 def canonical_vector(v: Sequence) -> tuple[int, ...]:
@@ -522,34 +542,44 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
     room = [[sum(abs(a) for a in row[c + 1:]) for row in rows] for c in range(n)]
     x = [0] * n
 
-    def extend(c: int, sums: list[int], top: int) -> Iterator[tuple[int, ...]]:
-        if c == n:
-            if top == h and (not canonical or math.gcd(*x) == 1):
-                yield tuple(x)
-            return
+    def values(c: int, sums: list[int], top: int) -> list[int]:
         r = pivot_row[c]
         if r is None:
-            values = spiral
+            out = spiral
         else:
             q, rem = divmod(-sums[r], rows[r][c])
-            if rem or abs(q) > h:
-                return
-            values = [q]
+            out = [] if rem or abs(q) > h else [q]
         if canonical and not top:
-            values = [v for v in values if v >= 0]
+            out = [v for v in out if v >= 0]
         if c == n - 1 and top < h:
-            values = [v for v in values if abs(v) == h]
-        for v in values:
-            nxt = [s + row[c] * v for s, row in zip(sums, rows)]
-            if any(abs(s) > h * b for s, b in zip(nxt, room[c])):
-                continue
-            x[c] = v
-            yield from extend(c + 1, nxt, max(top, abs(v)))
+            out = [v for v in out if abs(v) == h]
+        return out
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        # per fixed coordinate: its values left, and the row sums and height before it
+        start = [0] * len(rows)
+        stack = [(iter(values(0, start, 0)), start, 0)]
+        while stack:
+            it, sums, top = stack[-1]
+            c = len(stack) - 1
+            for v in it:
+                nxt = [s + row[c] * v for s, row in zip(sums, rows)]
+                if any(abs(s) > h * b for s, b in zip(nxt, room[c])):
+                    continue
+                x[c] = v
+                t = max(top, abs(v))
+                if c + 1 < n:
+                    stack.append((iter(values(c + 1, nxt, t)), nxt, t))
+                    break
+                if t == h and (not canonical or math.gcd(*x) == 1):
+                    yield tuple(x)
+            else:
+                stack.pop()
 
     h = 1
     while max_height is None or h <= max_height:
         spiral = [0] + [s * k for k in range(1, h + 1) for s in (1, -1)]
-        for v in extend(0, [0] * len(rows), 0):
+        for v in extend():
             yield v
             if canonical and free == 1:
                 return

@@ -4,21 +4,25 @@ A quadratic form is held as an exact symmetric Gram matrix.  Deciding whether
 it has a nontrivial rational zero goes through the classical local conditions
 (real place plus the relevant primes); when a zero exists one is produced by
 constructive descent, never by floating search.
+
+A form keeps its rational Gram S, which certificates record, and builds the
+integral Gram den S once (den the lcm of S's denominators): evaluation,
+diagonalization, the Gram search and the secant sweep run on it in ints.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactmath import (
     Mat,
     Poly,
     Rat,
-    Vec,
     canonical_vector,
     factorint,
     frac,
@@ -29,6 +33,7 @@ from .exactmath import (
     mat_identity,
     mat_vec,
     primitive_vector,
+    ratio,
     vec,
     vec_dot,
 )
@@ -114,9 +119,11 @@ def _sqrt_mod_squarefree(a: int, m: int) -> int | None:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """A quadratic form given by its exact symmetric Gram matrix."""
+    """A quadratic form: its exact symmetric Gram matrix S, den and den S."""
 
     gram: tuple[tuple[Rat, ...], ...]
+    den: int = field(init=False, repr=False, compare=False)
+    igram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(vec(row) for row in self.gram)
@@ -128,6 +135,9 @@ class QuadraticForm:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "gram", rows)
+        den = math.lcm(*(e.denominator for row in rows for e in row))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "igram", tuple(tuple(int(e * den) for e in row) for row in rows))
 
     @property
     def nvars(self) -> int:
@@ -152,46 +162,51 @@ class QuadraticForm:
         n = p.nvars
         g = [[0] * n for _ in range(n)]
         for e, c in p.terms.items():
-            idx = [i for i, k in enumerate(e) for _ in range(k)]
-            i, j = idx
-            if i == j:
-                g[i][i] = c
-            else:
-                g[i][j] += Fraction(c, 2)
-                g[j][i] += Fraction(c, 2)
+            i = e.index(max(e))
+            j = i if max(e) == 2 else e.index(1, i + 1)
+            # a half is a Fraction only for an odd cross coefficient
+            half = c // 2 if c % 2 == 0 else Fraction(c, 2)
+            g[i][j] = g[j][i] = c if i == j else half
         return cls(tuple(tuple(row) for row in g))
 
     def to_poly(self) -> Poly:
-        n = self.nvars
+        n, a = self.nvars, self.igram
         terms: dict[tuple[int, ...], Rat] = {}
         for i in range(n):
             for j in range(i, n):
-                c = self.gram[i][j] if i == j else 2 * self.gram[i][j]
+                c = a[i][j] if i == j else 2 * a[i][j]
                 if c:
                     e = [0] * n
                     e[i] += 1
                     e[j] += 1
-                    terms[tuple(e)] = terms.get(tuple(e), 0) + c
+                    terms[tuple(e)] = ratio(c, self.den)
         return Poly(n, terms)
 
     def evaluate(self, v: Sequence) -> Rat:
-        x = vec(v)
-        return vec_dot(x, mat_vec(self.gram, x))
+        x, d = _cleared(v)
+        return ratio(vec_dot(x, mat_vec(self.igram, x)), self.den * d * d)
 
     def bilinear(self, v: Sequence, w: Sequence) -> Rat:
         """Polar pairing B with Q(v+w) = Q(v) + 2 B(v,w) + Q(w)."""
-        return vec_dot(vec(v), mat_vec(self.gram, vec(w)))
+        (x, dx), (y, dy) = _cleared(v), _cleared(w)
+        return ratio(vec_dot(x, mat_vec(self.igram, y)), self.den * dx * dy)
+
+
+def _cleared(v: Sequence) -> tuple[list[int], int]:
+    """(d v, d), d the lcm of the denominators of the rational vector v."""
+    x = vec(v)
+    d = math.lcm(*(c.denominator for c in x))
+    return [int(c * d) for c in x], d
+
+
+def _quad(a: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    """x^T a x for an integer matrix a and an integer vector x."""
+    return sum(xi * sum(map(mul, row, x)) for row, xi in zip(a, x) if xi)
 
 
 def radical(q: QuadraticForm) -> list[tuple[int, ...]]:
     """Canonical primitive basis of the radical (kernel of the Gram matrix)."""
     return kernel_basis([list(r) for r in q.gram])
-
-
-def _integral_gram(q: QuadraticForm) -> tuple[int, list[list[int]]]:
-    """(den, den S): the Gram matrix scaled by the lcm of its denominators."""
-    den = math.lcm(*(e.denominator for row in q.gram for e in row))
-    return den, [[int(e * den) for e in row] for row in q.gram]
 
 
 def diagonalize(q: QuadraticForm) -> tuple[list[list[int]], list[Rat]]:
@@ -207,7 +222,7 @@ def diagonalize(q: QuadraticForm) -> tuple[list[list[int]], list[Rat]]:
     invertible, so the form is degenerate exactly when a diagonal entry is 0.
     """
     n = q.nvars
-    den, a = _integral_gram(q)
+    den, a = q.den, [list(row) for row in q.igram]
     p = mat_identity(n)
 
     def combine(dst: int, alpha: int, src: int, beta: int):
@@ -255,7 +270,7 @@ def diagonalize(q: QuadraticForm) -> tuple[list[list[int]], list[Rat]]:
         for i in range(k + 1, n):
             if a[k][i] != 0:
                 combine(i, abs(akk), k, -sgn * a[k][i])
-    return p, [frac(Fraction(a[i][i], den)) for i in range(n)]
+    return p, [ratio(a[i][i], den) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +669,7 @@ def isotropic_vector(q: QuadraticForm) -> IsotropyVerdict:
     pair = _hyperbolic_pair(diag)
     x = None if pair is None else mat_vec(p, pair)
     if x is None and len(diag) >= 4:
-        x = _dense_zero_search(_integral_gram(q)[1], 300_000)
+        x = _dense_zero_search(q.igram, 300_000)
     if x is None:
         s_parts, mults = split or _squarefree_scaling(diag)
         w = _diagonal_zero(s_parts)
@@ -678,17 +693,17 @@ class ResidualPoint:
     tangent: bool
 
 
-def _residual(q: QuadraticForm, v: Vec, gv: Vec, w: Sequence) -> ResidualPoint | None:
-    """second_intersection for a nonzero v on q, gv = S v, and a nonzero w
-    not parallel to v; a sweep computes gv once for all its directions."""
-    qw = q.evaluate(w)
-    bvw = vec_dot(gv, w)
+def _residual(a, v: Sequence[int], av: Sequence[int], w: Sequence[int]) -> ResidualPoint | None:
+    """second_intersection on a = den S for integer v and w, av = a v once per
+    sweep: scaling by den > 0 or a positive factor moves no point or zero."""
+    qw = _quad(a, w)
+    bvw = vec_dot(av, w)
     if qw == 0 and bvw == 0:
         return None
     if bvw == 0:
         return ResidualPoint(primitive_vector(v), True)
-    pt = primitive_vector(tuple(qw * a - 2 * bvw * b for a, b in zip(v, w)))
-    if q.evaluate(pt) != 0:
+    pt = primitive_vector(tuple(qw * x - 2 * bvw * y for x, y in zip(v, w)))
+    if _quad(a, pt) != 0:
         raise AssertionError("residual point failed verification")
     return ResidualPoint(pt, False)
 
@@ -706,7 +721,8 @@ def second_intersection(q: QuadraticForm, v: Sequence, w: Sequence) -> ResidualP
         raise ValueError("base point does not lie on the quadric")
     if canonical_vector(vv) == canonical_vector(ww):
         raise ValueError("direction is parallel to the base point")
-    return _residual(q, vv, mat_vec(q.gram, vv), ww)
+    x, y = primitive_vector(vv), primitive_vector(ww)
+    return _residual(q.igram, x, mat_vec(q.igram, x), y)
 
 
 def sample_points(
@@ -723,20 +739,20 @@ def sample_points(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    vv = vec(v)
-    if q.evaluate(vv) != 0:
+    a, vv = q.igram, primitive_vector(v)
+    if _quad(a, vv) != 0:
         raise ValueError("base point does not lie on the quadric")
-    gv = mat_vec(q.gram, vv)
-    if all(x == 0 for x in gv):
+    av = mat_vec(a, vv)
+    if all(x == 0 for x in av):
         raise ValueError("base point lies in the radical; all secants degenerate")
-    avoid_forms = [vec(l) for l in avoid]
+    avoid_forms = [primitive_vector(l) for l in avoid]
     v_key = canonical_vector(vv)
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for w in itertools.islice(iter_primitive_vectors(q.nvars), max_directions):
         if w == v_key:
             continue
-        res = _residual(q, vv, gv, w)
+        res = _residual(a, vv, av, w)
         if res is None or res.tangent:
             continue
         key = canonical_vector(res.point)

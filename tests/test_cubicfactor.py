@@ -16,7 +16,18 @@ from nullcone.cubicfactor import (
     factor_quadratic_form,
     is_perfect_cube_linear,
 )
-from nullcone.exactmath import Poly, canonical_vector, frac, height, spiral_key
+from nullcone import cubicfactor, exactmath
+from nullcone.exactmath import (
+    Poly,
+    canonical_vector,
+    exact_divide,
+    frac,
+    height,
+    integral_divide,
+    primitive_part,
+    primitive_vector,
+    spiral_key,
+)
 from nullcone.nsring import IntersectionForm
 from nullcone.quadpoints import QuadraticForm
 
@@ -361,3 +372,130 @@ def test_factorization_is_frozen():
     assert isinstance(r, Factorization)
     with pytest.raises(AttributeError):
         r.kind = FactorKind.IRREDUCIBLE
+
+
+# ---------------------------------------------------------------------------
+# the integer path: contents taken once, division by Gauss's lemma
+
+
+def _fraction_divide(f: Poly, g: Poly) -> Poly | None:
+    """Lex division of f by g in Fraction arithmetic, one quotient term at a
+    time: the reference the integer division must agree with."""
+    le_g = max(g.terms)
+    q = {}
+    r = dict(f.terms)
+    while r:
+        le_r = max(r)
+        lc_r = r.pop(le_r)
+        e = tuple(a - b for a, b in zip(le_r, le_g))
+        if any(k < 0 for k in e):
+            return None
+        c = frac(Fraction(lc_r, g.terms[le_g]))
+        q[e] = c
+        for eg, cg in g.terms.items():
+            if eg != le_g:
+                m = tuple(a + b for a, b in zip(e, eg))
+                v = r.get(m, 0) - c * cg
+                if v:
+                    r[m] = v
+                else:
+                    del r[m]
+    return Poly(f.nvars, q)
+
+
+def _primitive_candidate(rng, n: int, lead: int) -> tuple[int, ...]:
+    """A primitive integer covector whose first coordinate is lead != 0."""
+    while True:
+        v = primitive_vector([lead] + [rng.randint(-4, 4) for _ in range(n - 1)])
+        if v[0] == lead:
+            return v
+
+
+def _unit_pivot_linear(rng, n: int) -> tuple[int, ...]:
+    return (rng.choice((1, -1)),) + tuple(rng.randint(-3, 3) for _ in range(n - 1))
+
+
+class _NoFractionMeta(type):
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, Fraction)
+
+
+class _NoFraction(metaclass=_NoFractionMeta):
+    """Stands in for Fraction: isinstance checks still see real Fractions,
+    but building one raises."""
+
+    def __new__(cls, *args):
+        raise AssertionError(f"Fraction{args} built on the integer path")
+
+
+def test_integer_path_builds_no_fraction(monkeypatch):
+    # integral cubics, primitive candidates and linear factors with unit
+    # pivots: the division and the whole factorization stay in ints
+    rng = random.Random(71)
+    divisions = []
+    for trial in range(40):
+        n = rng.randint(2, 6)
+        f = Poly.constant(n, rng.choice((1, 2, 6))) * random_quadric_poly(rng, n, 5)
+        l = _primitive_candidate(rng, n, (1, -1, 2, -3, 5)[trial % 5])
+        other = _primitive_candidate(rng, n, (1, -1, 3, -4)[trial % 4])
+        for cand in (l, other):
+            divisions.append((f * lin(l), cand, _fraction_divide(f * lin(l), lin(cand))))
+    assert sum(q is None for _, _, q in divisions) >= 30
+    cubics = []
+    for trial in range(24):
+        n = rng.randint(3, 6)
+        l1, l2, l3 = (_unit_pivot_linear(rng, n) for _ in range(3))
+        q = random_quadric_poly(rng, n, 5)
+        q = Poly(n, {**q.terms, (2,) + (0,) * (n - 1): rng.choice((1, -1))})
+        kind, f = [
+            (FactorKind.LINEAR_TIMES_QUADRIC, lin(l1) * q),
+            (FactorKind.THREE_LINEAR, lin(l1) * lin(l2) * lin(l3)),
+            (FactorKind.LINEAR_SQUARE_TIMES_LINEAR, lin(l1) * lin(l1) * lin(l2)),
+            (FactorKind.LINEAR_CUBE, lin(l1) ** 3),
+        ][trial % 4]
+        cubics.append((kind, Poly.constant(n, rng.choice((1, -2, 3))) * f))
+
+    monkeypatch.setattr(exactmath, "Fraction", _NoFraction)
+    monkeypatch.setattr(cubicfactor, "Fraction", _NoFraction, raising=False)
+    with pytest.raises(AssertionError):
+        exactmath.Fraction(1, 2)
+    for f, cand, want in divisions:
+        assert exact_divide(f, lin(cand)) == want
+        content, prim = primitive_part(f)
+        got = integral_divide(prim, lin(cand))
+        assert (got is None) == (want is None)
+        assert got is None or got * content == want
+    for kind, f in cubics:
+        r = factor_over_Q(f)
+        assert r.kind is kind
+        assert r.reconstruct(f.nvars) == f and type(r.scalar) is int
+
+
+def test_exact_divide_matches_fraction_division():
+    # integral and rational cubics, some with a Fraction content, against
+    # primitive candidates that divide them and random ones that mostly do not
+    rng = random.Random(72)
+    fracs = [Fraction(k, q) for k in range(-5, 6) for q in (1, 2, 3) if k]
+    divided = undivided = 0
+    for trial in range(80):
+        n = rng.randint(2, 6)
+        l = _primitive_candidate(rng, n, rng.choice((1, -1, 2, -3)))
+        if trial % 2:
+            q = _random_form_poly(rng, n, 2)
+        else:
+            q = random_quadric_poly(rng, n, 6)
+        f = Poly.constant(n, rng.choice(fracs)) * lin(l) * q
+        cands = [l, _primitive_candidate(rng, n, rng.choice((1, -1, 2, 5)))]
+        cands.append(canonical_vector(nonzero_vector(rng, n, 3)))
+        for cand in cands:
+            want = _fraction_divide(f, lin(cand))
+            got = exact_divide(f, lin(cand))
+            if want is None:
+                assert got is None
+                undivided += 1
+                continue
+            assert got == want
+            assert [type(c) for c in got.terms.values()] == [type(frac(c)) for c in want.terms.values()]
+            assert is_exact(*got.terms.values())
+            divided += 1
+    assert divided >= 80 and undivided >= 100

@@ -403,6 +403,18 @@ def test_kernel_enumeration_is_lazy_at_high_rank():
     assert elapsed < 2.0, f"first 500 directions took {elapsed:.3f}s"
 
 
+def test_enumerators_start_at_rank_2000():
+    # the walk fixes one coordinate per stack frame, not per recursion level
+    n = 2000
+    last = (0,) * (n - 1) + (1,)
+    assert next(iter_integer_vectors(n)) == last
+    assert next(iter_primitive_vectors(n)) == last
+    row = [1, -1] + [0] * (n - 2)
+    got = list(itertools.islice(iter_kernel_primitives([row]), 3))
+    assert got[0] == last and len(got) == 3
+    assert all(vec_dot(row, v) == 0 and len(v) == n for v in got)
+
+
 def test_iter_kernel_primitives_trivial_kernel():
     rows = [[frac(1), frac(0)], [frac(0), frac(1)]]
     assert list(iter_kernel_primitives(rows)) == []

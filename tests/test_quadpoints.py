@@ -8,12 +8,22 @@ import time
 
 import pytest
 
-from nullcone.exactmath import Poly, canonical_vector, factorint, frac, mat_vec, vec_dot
+from nullcone.exactmath import (
+    Poly,
+    canonical_vector,
+    factorint,
+    frac,
+    mat_vec,
+    primitive_vector,
+    vec,
+    vec_dot,
+)
 from nullcone.quadpoints import (
     _diagonal_zero,
     _hyperbolic_pair,
     _local_obstruction,
     InsufficientPoints,
+    ResidualPoint,
     IsotropyKind,
     QuadraticForm,
     diagonalize,
@@ -501,3 +511,71 @@ def test_sample_points_insufficient():
     q = QuadraticForm.from_diagonal([1, -1])
     with pytest.raises(InsufficientPoints):
         sample_points(q, (1, 1), 5, max_directions=50)
+
+
+# ---------------------------------------------------------------------------
+# the integral Gram against the rational one
+
+
+def _seeded_grams(rng, count: int):
+    """Forms in 2-6 variables with Gram denominators 1, 2, 3 and 6, in turn."""
+    return [
+        QuadraticForm(tuple(map(tuple, random_gram(rng, rng.randint(2, 6), 6, (1, 2, 3, 6)[k % 4]))))
+        for k in range(count)
+    ]
+
+
+def _seeded_vector(rng, n: int, fractional: bool) -> tuple:
+    while True:
+        v = tuple(frac(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4)) if fractional else 1))
+                  for _ in range(n))
+        if any(v):
+            return v
+
+
+def test_evaluate_and_bilinear_match_the_rational_gram():
+    rng = random.Random(521)
+    fractional = 0
+    for q in _seeded_grams(rng, 120):
+        assert q.igram == tuple(tuple(frac(q.den * e) for e in row) for row in q.gram)
+        for k in range(4):
+            x = _seeded_vector(rng, q.nvars, k % 2 == 1)
+            y = _seeded_vector(rng, q.nvars, k >= 2)
+            for got, want in (
+                (q.evaluate(x), vec_dot(x, mat_vec(q.gram, x))),
+                (q.bilinear(x, y), vec_dot(x, mat_vec(q.gram, y))),
+            ):
+                assert got == want and is_exact(got)
+                assert type(got) is type(frac(want))
+                fractional += type(got) is Fraction
+    assert fractional >= 200
+
+
+def _rational_residual(q: QuadraticForm, v, w):
+    """The secant formula Q(w) v - 2 B(v, w) w on the rational Gram."""
+    qw = vec_dot(w, mat_vec(q.gram, w))
+    bvw = vec_dot(mat_vec(q.gram, v), w)
+    if qw == 0 and bvw == 0:
+        return None
+    if bvw == 0:
+        return ResidualPoint(primitive_vector(v), True)
+    return ResidualPoint(primitive_vector([qw * a - 2 * bvw * b for a, b in zip(v, w)]), False)
+
+
+def test_second_intersection_matches_the_rational_formula():
+    rng = random.Random(522)
+    kinds = {True: 0, False: 0, None: 0}
+    for q in _seeded_grams(rng, 80):
+        verdict = isotropic_vector(q)
+        if verdict.witness is None:
+            continue
+        for k in range(6):
+            scale = Fraction(rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 3)))
+            v = vec(scale * c for c in verdict.witness)
+            w = _seeded_vector(rng, q.nvars, k % 2 == 1)
+            if canonical_vector(w) == canonical_vector(v):
+                continue
+            got = second_intersection(q, v, w)
+            assert got == _rational_residual(q, v, w)
+            kinds[None if got is None else got.tangent] += 1
+    assert kinds[False] >= 100 and kinds[True] + kinds[None] >= 1, kinds
