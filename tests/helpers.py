@@ -430,3 +430,45 @@ def divisor_coords(x) -> tuple:
     if isinstance(x, Divisor):
         return tuple(x.coords)
     return tuple(frac(c) for c in x)
+
+
+def form_of_cubic(f: Poly) -> IntersectionForm:
+    """The form whose cubic T(x, x, x) is 6 f, for a cubic f with integer
+    coefficients: the coefficient of x_i x_j x_k is d_ijk times the number of
+    distinct orderings of ijk (1, 3 or 6), so d_ijk is 6, 2 or 1 times it."""
+    entries = {}
+    for e, c in f.terms.items():
+        assert frac(c).denominator == 1
+        key = tuple(i for i, k in enumerate(e) for _ in range(k))
+        entries[key] = int(c) * {1: 6, 2: 2, 3: 1}[len(set(key))]
+    return IntersectionForm(f.nvars, entries)
+
+
+def seeded_ternary_cubics(rng, count: int) -> list[IntersectionForm]:
+    """Rank-3 forms for the singular-point search, `count` of each kind in
+    turn: random forms; forms singular at (0, 0, 1) (no x2^3, x0 x2^2 or
+    x1 x2^2 term) written in a basis moved by unimodular_matrix; the forms of
+    6 l q, 6 l1 l2 l3, 6 l^2 m and 6 l^3; then the Hesse pencil
+    6 (x0^3 + x1^3 + x2^3 + m x0 x1 x2) for m = -6..6 (singular at m = -3)."""
+    forms = []
+    for _ in range(count):
+        forms.append(random_form(rng, 3, 3))
+        while True:
+            entries = {
+                key: rng.randint(-3, 3)
+                for key in sorted_triples(3)
+                if key not in ((2, 2, 2), (0, 2, 2), (1, 2, 2))
+            }
+            if any(entries.values()):
+                break
+        u, _ = unimodular_matrix(rng, 3)
+        forms.append(change_basis(IntersectionForm(3, entries), u))
+        lin = [random_linear_poly(rng, 3, 3) for _ in range(3)]
+        forms.append(form_of_cubic(lin[0] * random_quadric_poly(rng, 3, 3)))
+        forms.append(form_of_cubic(lin[0] * lin[1] * lin[2]))
+        forms.append(form_of_cubic(lin[0] * lin[0] * lin[1]))
+        forms.append(form_of_cubic(lin[0] * lin[0] * lin[0]))
+    x0, x1, x2 = (Poly.variable(3, i) for i in range(3))
+    for m in range(-6, 7):
+        forms.append(form_of_cubic(x0 * x0 * x0 + x1 * x1 * x1 + x2 * x2 * x2 + m * x0 * x1 * x2))
+    return forms

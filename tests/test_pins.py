@@ -11,6 +11,7 @@ import random
 
 from nullcone.certify import certify
 from nullcone.cli import render_json
+from nullcone.cubicchase import ternary_singular_point
 from nullcone.cubicfactor import factor_over_Q, factor_quadratic_form
 from nullcone.exactmath import Poly
 from nullcone.quadpoints import is_isotropic, isotropic_vector
@@ -24,6 +25,7 @@ from helpers import (
     random_quadric_poly,
     seeded_quadric_forms,
     seeded_rank5_forms,
+    seeded_ternary_cubics,
 )
 
 PLANTED_CERTIFICATES_SHA256 = "2a945233b3a05a240d84cede099f6a5bc1949fb8e1b1dd4ccc7f4a314aada11e"
@@ -31,6 +33,7 @@ FACTOR_RESULTS_SHA256 = "bd9cbaa43353345e2d811c9be900d1d08d288b292517111f9ecb565
 REDUCIBLE_CERTIFICATES_SHA256 = "edfafbac45f5a7be3882f03efcf23960d0acdaa591e29a7e486ef2e75233022c"
 QUADRIC_LAYER_SHA256 = "75564ba6253315876bd7eaa71280e312b768b51994404d4c139c05728e0c9efa"
 QUADRIC_LAYER_RANK5_SHA256 = "fdb3ba5636c3ce42bcdf1ca7e2a56c2f80202778153d6f042929ae3c9bf46d9e"
+TERNARY_SINGULAR_POINTS_SHA256 = "04df0ba077d361f726f1df5405dc464ea22ecf97dfc6d99d7d39249e7d5353be"
 
 
 def _sha256(text: str) -> str:
@@ -96,7 +99,6 @@ def test_factor_results_pinned():
     assert _sha256(json.dumps(rows)) == FACTOR_RESULTS_SHA256
 
 
-
 def _verdict_row(v):
     return [v.kind.value, v.witness, str(v.obstruction), [list(b) for b in v.radical_basis]]
 
@@ -125,3 +127,15 @@ def test_quadric_layer_rank5_pinned():
         for q in seeded_rank5_forms(random.Random(513), 100)
     ]
     assert _sha256(json.dumps(rows)) == QUADRIC_LAYER_RANK5_SHA256
+
+
+def test_ternary_singular_points_pinned():
+    # random rank-3 forms, forms singular at (0, 0, 1) in a moved basis, the
+    # products l q, l1 l2 l3, l^2 m and l^3, and the Hesse pencil: every
+    # description of a gradient quadric's zero set and every degree pair of
+    # the conic-pair resultant occurs
+    rows = []
+    for form in seeded_ternary_cubics(random.Random(514), 20):
+        point = ternary_singular_point(form)
+        rows.append(None if point is None else [str(c) for c in point.coords])
+    assert _sha256(json.dumps(rows)) == TERNARY_SINGULAR_POINTS_SHA256
