@@ -33,7 +33,6 @@ from .cubicfactor import (
     expand_cubic,
     factor_over_Q,
     factor_quadratic_form,
-    is_perfect_cube_linear,
 )
 from .exactmath import (
     Poly,
@@ -97,7 +96,6 @@ __all__ = [
     "hilbert_symbol",
     "inflection_test",
     "is_isotropic",
-    "is_perfect_cube_linear",
     "is_perfect_square",
     "is_singular_at",
     "isotropic_vector",

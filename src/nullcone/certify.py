@@ -228,18 +228,13 @@ class _Pipeline:
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         if verdict.kind is IsotropyKind.ANISOTROPIC:
-            if verdict.obstruction == "real":
-                self.warnings.append(
-                    "the quadric factor is definite; the null cone of the asserted "
-                    "geometry cannot contain a definite quadric component"
-                )
-                return self.finish(Conclusion.INPUT_INCONSISTENT, RULE_NONE)
+            # a nondegenerate form in rank >= 5 variables is anisotropic only
+            # over the reals (Meyer's theorem): it is definite
             self.warnings.append(
-                "the quadric factor has no rational points (local obstruction at "
-                f"{verdict.obstruction}); no rational class certifies the "
-                "reducible criterion"
+                "the quadric factor is definite; the null cone of the asserted "
+                "geometry cannot contain a definite quadric component"
             )
-            return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
+            return self.finish(Conclusion.INPUT_INCONSISTENT, RULE_NONE)
         try:
             samples = sample_points(quad, verdict.witness, 8, avoid=[lin, tuple(c2.coords)])
         except InsufficientPoints as exc:

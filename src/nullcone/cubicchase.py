@@ -7,11 +7,12 @@ which degeneracy stopped progress.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cubicfactor import expand_cubic, factor_quadratic_form, is_perfect_cube_linear
+from .cubicfactor import factor_quadratic_form
 from .exactmath import (
     Poly,
     canonical_vector,
@@ -84,7 +85,7 @@ def residual_on_tangent(form: IntersectionForm, d, x) -> Divisor | None:
 
 class Degeneracy(str, Enum):
     LINE_CONTAINED = "line_contained"
-    SECTION_IS_PERFECT_CUBE = "section_is_perfect_cube"
+    TANGENT_SECTION_IS_CONE = "tangent_section_is_cone"
     POINT_SINGULAR = "point_singular"
 
 
@@ -103,17 +104,28 @@ class ChaseTrace:
     witness: Divisor | None = None
 
 
-def _tangent_section(form: IntersectionForm, p: Divisor, sq: LinearClass) -> Poly:
-    """The cubic restricted to the tangent hyperplane at p, in kernel coordinates."""
-    basis = kernel_basis([list(sq.coords)])
-    m = len(basis)
-    f = expand_cubic(form)
-    images = [
-        Poly(m, {tuple(int(r == j) for r in range(m)): bv[i]
-                 for j, bv in enumerate(basis) if bv[i]})
-        for i in range(form.rank)
-    ]
-    return f.substitute(images)
+def _tangent_section_is_cone(form: IntersectionForm, p: Divisor) -> bool:
+    """Whether T(p, x, y) = 0 for all x, y in H = {s = 0}, s = T(p, p, -) != 0:
+    exactly when no tangent direction x at p is productive, since the residual
+    cube(x) p - 3 T(p, x, x) x leaves p iff T(p, x, x) != 0.
+
+    M = T(p, -, -) vanishes on the basis s_j e_a - s_a e_j of H (s_j != 0)
+    iff every C_ab = s_j^2 M_ab - s_j (s_a M_bj + s_b M_aj) + s_a s_b M_jj is
+    0.  Off the stored entries of M, C_ab != 0 needs both a and b in the
+    support of s or of column j of M, so the stored entries are checked first.
+    """
+    x, _ = form._scaled(p)
+    s, m = form._square(x), form._polar(x)
+    j = next(a for a, sa in enumerate(s) if sa)
+    col = [m.get((min(a, j), max(a, j)), 0) for a in range(form.rank)]
+
+    def defect(a: int, b: int) -> int:
+        mixed = s[j] * m.get((a, b), 0) - s[a] * col[b] - s[b] * col[a]
+        return s[j] * mixed + s[a] * s[b] * col[j]
+
+    support = [a for a in range(form.rank) if s[a] or col[a]]
+    pairs = itertools.chain(m, itertools.combinations_with_replacement(support, 2))
+    return not any(defect(a, b) for a, b in pairs)
 
 
 def chase(
@@ -155,7 +167,7 @@ def chase(
             continue
         point_key = canonical_vector(point.coords)
         examined = 0
-        productive = False
+        productive = collapsed = False
         for x in iter_kernel_primitives([list(sq.coords)]):
             if x == point_key:
                 continue
@@ -169,6 +181,7 @@ def chase(
                 continue
             res_key = canonical_vector(residual.coords)
             if res_key == point_key:
+                collapsed = True
                 continue
             productive = True
             trace.edges.append(ChaseEdge(point, direction, residual))
@@ -179,10 +192,8 @@ def chase(
                 if c2.pair(residual) != 0:
                     trace.witness = residual
                     return trace
-        if examined and not productive:
-            section = _tangent_section(form, point, sq)
-            if is_perfect_cube_linear(section) is not None:
-                trace.degeneracies.append((Degeneracy.SECTION_IS_PERFECT_CUBE, point))
+        if collapsed and not productive and _tangent_section_is_cone(form, point):
+            trace.degeneracies.append((Degeneracy.TANGENT_SECTION_IS_CONE, point))
     return trace
 
 
@@ -297,44 +308,32 @@ def _line_candidates(l: tuple[int, ...], quadrics: list[QuadraticForm]):
 
 
 def _sylvester_resultant(q1: QuadraticForm, q2: QuadraticForm) -> Poly:
-    """Resultant in the last variable of two ternary quadrics, as a binary form."""
+    """Resultant in the last variable of two ternary quadrics, as a binary form.
+
+    Each quadric is a2 z^2 + a1 z + a0, the a_k binary forms; vanishing
+    leading a_k are dropped, and the (2, 2), (2, 1) and (1, 1) closed forms
+    cover the rest (the (1, 2) resultant is the (2, 1) one, sign (-1)^2).
+    """
 
     def coeff_polys(q: QuadraticForm) -> list[Poly]:
         g = q.gram
         c2 = Poly(2, {(0, 0): g[2][2]})
         c1 = Poly(2, {(1, 0): 2 * g[0][2], (0, 1): 2 * g[1][2]})
         c0 = Poly(2, {(2, 0): g[0][0], (1, 1): 2 * g[0][1], (0, 2): g[1][1]})
-        polys = [c2, c1, c0]
-        while polys and polys[0].is_zero:
-            polys.pop(0)
-        return polys
+        return list(itertools.dropwhile(lambda c: c.is_zero, (c2, c1, c0)))
 
-    a = coeff_polys(q1)
-    b = coeff_polys(q2)
-    da, db = len(a) - 1, len(b) - 1
-    if da < 1 or db < 1:
+    a, b = sorted((coeff_polys(q1), coeff_polys(q2)), key=len, reverse=True)
+    if len(b) < 2:
         raise AssertionError("rank-3 quadric must involve the eliminated variable")
-    size = da + db
-    rows: list[list[Poly]] = []
-    zero = Poly.zero(2)
-    for i in range(db):
-        rows.append([zero] * i + a + [zero] * (size - da - 1 - i))
-    for i in range(da):
-        rows.append([zero] * i + b + [zero] * (size - db - 1 - i))
-
-    def det(m: list[list[Poly]]) -> Poly:
-        if len(m) == 1:
-            return m[0][0]
-        total = Poly.zero(2)
-        for j, entry in enumerate(m[0]):
-            if entry.is_zero:
-                continue
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = entry * det(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return det(rows)
+    if len(a) == 2:
+        return a[0] * b[1] - a[1] * b[0]
+    a2, a1, a0 = a
+    if len(b) == 2:
+        b1, b0 = b
+        return a2 * b0 * b0 - a1 * b0 * b1 + a0 * b1 * b1
+    b2, b1, b0 = b
+    u = a2 * b0 - a0 * b2
+    return u * u - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
 
 
 def _conic_pair_candidates(qa: QuadraticForm, qb: QuadraticForm) -> list[tuple[int, ...]]:

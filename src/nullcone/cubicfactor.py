@@ -3,8 +3,8 @@
 The cubic attached to intersection data is expanded exactly and split into
 linear and quadratic pieces when possible.  One linear-factor search, for
 forms of any degree, answers every factoring question: it splits a linear
-factor off the cubic, splits the quadric cofactor, splits a quadratic form
-and recognizes a perfect cube.
+factor off the cubic, splits the quadric cofactor and splits a quadratic
+form.
 
 The content is taken once, f = c F, and everything runs on the primitive
 integral F in ints.  Candidates are primitive, so by Gauss's lemma (S. Lang,
@@ -243,16 +243,6 @@ def factor_quadratic_form(q: QuadraticForm):
     content, prim = primitive_part(q.to_poly())
     split = _split_quadric(prim)
     return None if split is None else (split[0], split[1], content * split[2])
-
-
-def is_perfect_cube_linear(f: Poly):
-    """(l, scalar) with f = scalar * l^3 for a canonical primitive l, or None."""
-    if f.is_zero or not f.is_homogeneous(3):
-        return None
-    fac = factor_over_Q(f)
-    if fac.kind is not FactorKind.LINEAR_CUBE:
-        return None
-    return fac.linears[0], fac.scalar
 
 
 def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:

@@ -176,8 +176,12 @@ class IntersectionForm:
         if any(sq):
             # cube(d) = T(d, d, -) . d, up to the positive factor den^3
             return 3 if sum(t * c for t, c in zip(sq, x)) else 2
-        # T(d, e_a, e_b) for a <= b: an entry on ijk adds d_ijk x_c to the
-        # pair left when one c is taken out of ijk, once per distinct c
+        return 1 if any(self._polar(x).values()) else 0
+
+    def _polar(self, x: tuple[int, ...]) -> dict[tuple[int, int], int]:
+        """T(x, e_a, e_b) keyed (a, b) for a <= b, from integer coordinates x;
+        pairs no entry touches are absent.  An entry on ijk adds d_ijk x_c to
+        the pair left when one c is taken out of ijk, once per distinct c."""
         pairs: dict[tuple[int, int], int] = {}
         for (i, j, k), v in self.entries.items():
             pairs[j, k] = pairs.get((j, k), 0) + v * x[i]
@@ -185,7 +189,7 @@ class IntersectionForm:
                 pairs[i, k] = pairs.get((i, k), 0) + v * x[j]
             if k != j:
                 pairs[i, j] = pairs.get((i, j), 0) + v * x[k]
-        return 1 if any(pairs.values()) else 0
+        return pairs
 
 
 def nef_threshold(form: IntersectionForm, h: Divisor, d: Divisor) -> Fraction:

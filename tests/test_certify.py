@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 import random
+import sys
 import time
 
 import pytest
@@ -29,10 +30,18 @@ from nullcone.certify import (
     replay_check,
 )
 from nullcone.cli import fixture_names, load_fixture, parse_input
-from nullcone.exactmath import canonical_vector
+from nullcone.cubicchase import Degeneracy, _tangent_section_is_cone, chase
+from nullcone.exactmath import Poly, canonical_vector
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
+from nullcone.quadpoints import QuadraticForm
 
-from helpers import annihilator_c2, divisor_coords, plant_null_form, plant_sparse_form
+from helpers import (
+    annihilator_c2,
+    divisor_coords,
+    form_of_cubic,
+    plant_null_form,
+    plant_sparse_form,
+)
 
 EXPECTED = {
     "nefpsef_cube_positive": (Conclusion.CERTIFIED, RULE_NEFPSEF),
@@ -318,3 +327,63 @@ def test_sparse_rank200_certify_and_replay_under_a_second():
         elapsed = time.perf_counter() - start
         assert cert.rule == RULE_MAIN_IRREDUCIBLE
         assert elapsed < 1.0, f"rank-200 sparse certify plus replay took {elapsed:.2f} s"
+
+
+def test_sparse_rank300_budget_stall_certifies(monkeypatch):
+    # the 500 directions the chase examines at D all span lines on the cubic,
+    # and T(D, -, -) does not vanish on the tangent hyperplane: a budget
+    # stall, not a cone, passed without expanding the cubic on the hyperplane
+    traces = []
+
+    def recorded_chase(*args):
+        traces.append(chase(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(sys.modules["nullcone.certify"], "chase", recorded_chase)
+    rng = random.Random(1)
+    form, d = plant_sparse_form(rng, 300)
+    c2 = annihilator_c2(rng, d, form.square_class(d).coords)
+    start = time.perf_counter()
+    cert = certify(form, c2, d)
+    assert replay(form, c2, cert)
+    elapsed = time.perf_counter() - start
+    assert cert.rule == RULE_MAIN_IRREDUCIBLE and set(cert.witnesses) == {"D"}
+    assert elapsed < 5.0, f"rank-300 sparse certify plus replay took {elapsed:.2f} s"
+    [trace] = traces
+    assert trace.witness is None and not _tangent_section_is_cone(form, Divisor(d))
+    assert Degeneracy.TANGENT_SECTION_IS_CONE not in {k for k, _ in trace.degeneracies}
+
+
+def _rank5_linear_quadric(lin, diag):
+    """The form of 6 L Q with Q = sum diag_i x_i^2 in five variables."""
+    return form_of_cubic(Poly.linear(lin) * QuadraticForm.from_diagonal(diag).to_poly())
+
+
+@pytest.mark.parametrize(
+    "lin, diag, d, conclusion, rule, warning",
+    [
+        # Q = x0^2 - 2 x1^2 is degenerate and L = x2 is 1 on the radical
+        # class e2, where T(e2, -, -) = 2 L(e2) Q != 0 and T(e2, e2, -) = 0
+        ((0, 0, 1, 0, 0), (1, -2, 0, 0, 0), (1, 0, 0, 0, 0), Conclusion.CERTIFIED, RULE_C2_NU1, None),
+        # L = x0 vanishes on the radical: every radical class has nu = 0
+        ((1, 0, 0, 0, 0), (1, -2, 0, 0, 0), (0, 1, 0, 0, 0), Conclusion.INCONCLUSIVE, RULE_NONE,
+         "no radical class"),
+        # a definite quadric factor
+        ((1, 0, 0, 0, 0), (1, 1, 1, 1, 1), (0, 1, 0, 0, 0), Conclusion.INPUT_INCONSISTENT, RULE_NONE,
+         "definite"),
+    ],
+)
+def test_rank5_linear_quadric_outcomes(lin, diag, d, conclusion, rule, warning):
+    # D lies on L = 0 with Q(D) != 0, so cube(D) = 0 and T(D, D, -) = 2 Q(D) L
+    form = _rank5_linear_quadric(lin, diag)
+    c2 = LinearClass((0, 0, 0, 1, 1))
+    cert = certify(form, c2, d)
+    assert (cert.conclusion, cert.rule) == (conclusion, rule)
+    assert replay(form, c2, cert)
+    if warning is None:
+        e = cert.witnesses["E"]
+        assert cert.warnings == []
+        assert form.numerical_dimension(e) == 1
+        assert all(c == 0 for c in e.coords[:2])
+    else:
+        assert len(cert.warnings) == 1 and warning in cert.warnings[0]

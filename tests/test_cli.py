@@ -1,6 +1,7 @@
 """Command-line interface: document validation, rendering, exit codes."""
 
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -17,6 +18,8 @@ from nullcone.cli import (
     parse_input,
     render_json,
 )
+
+from helpers import annihilator_c2, plant_sparse_form
 
 FIXTURES = sorted(fixture_names())
 
@@ -335,6 +338,36 @@ def test_chase_no_witness(capsys):
                  "--divisor", "D", "--depth", "1", "--budget", "3"]) == 0
     out = capsys.readouterr().out
     assert "visited:" in out
+
+
+def test_chase_prints_the_cone_label(tmp_path, capsys):
+    # 3 x0^2 x2 - x1^3: T((1,0,0), x, y) = 0 on the tangent plane x2 = 0
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({
+        "rank": 3,
+        "intersection": [[0, 0, 2, 1], [1, 1, 1, -1]],
+        "c2": [0, 1, 0],
+        "divisors": {"D": [1, 0, 0]},
+    }), encoding="utf-8")
+    assert main(["chase", "--input", str(path), "--divisor", "D", "--budget", "30"]) == 0
+    out = capsys.readouterr().out
+    assert "degeneracies:\n  tangent_section_is_cone at (1, 0, 0)\n" in out
+    assert "witness: (none)" in out
+
+
+def test_certify_rank1000_sparse_document(tmp_path, capsys):
+    rng = random.Random(1_000_000)
+    form, d = plant_sparse_form(rng, 1000)
+    c2 = annihilator_c2(rng, d, form.square_class(d).coords)
+    path = tmp_path / "rank1000.json"
+    path.write_text(json.dumps({
+        "rank": 1000,
+        "intersection": [[i, j, k, v] for (i, j, k), v in sorted(form.entries.items())],
+        "c2": [str(c) for c in c2.coords],
+        "divisors": {"D": list(d)},
+    }), encoding="utf-8")
+    assert main(["certify", "--input", str(path), "--divisor", "D"]) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("name", ["b2_2_null_rational", "b2_2_double_root"])

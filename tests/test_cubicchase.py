@@ -1,6 +1,7 @@
 """Null-cone point chasing: lines, residuals, walks, flexes, singular points."""
 
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from nullcone.cubicchase import (
     ChaseEdge,
     Degeneracy,
+    _tangent_section_is_cone,
     chase,
     inflection_test,
     is_singular_at,
@@ -15,10 +17,19 @@ from nullcone.cubicchase import (
     ternary_singular_point,
     third_point_on_line,
 )
-from nullcone.exactmath import canonical_vector
+from nullcone.exactmath import Poly, canonical_vector, kernel_basis
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
 
-from helpers import divisor_coords, hessian_det, on_line, plant_null_form
+from helpers import (
+    change_basis,
+    divisor_coords,
+    form_of_cubic,
+    hessian_det,
+    on_line,
+    plant_null_form,
+    transform_point,
+    unimodular_matrix,
+)
 
 DIAG3 = IntersectionForm.diagonal([1, 1, -2])
 DIAG4 = IntersectionForm.diagonal([1, 1, -2, 3])
@@ -185,12 +196,68 @@ def test_chase_line_contained():
 
 def test_chase_perfect_cube_section():
     # 3 x0^2 x2 - x1^3 restricted to the tangent plane x2 = 0 at (1,0,0)
-    # is the perfect cube -x1^3: every residual collapses onto the point
+    # is the perfect cube -x1^3: T((1,0,0), x, y) = 0 on the plane, and
+    # every residual collapses onto the point
     form = IntersectionForm(3, {(0, 0, 2): 1, (1, 1, 1): -1})
     trace = chase(form, LinearClass((0, 1, 0)), (1, 0, 0), depth=2, budget=30)
     assert trace.witness is None and trace.edges == []
     kinds = {k for k, _ in trace.degeneracies}
-    assert kinds == {Degeneracy.SECTION_IS_PERFECT_CUBE}
+    assert kinds == {Degeneracy.TANGENT_SECTION_IS_CONE}
+
+
+def test_chase_cone_section_at_rank4():
+    # 3 x0^2 x2 + x1^3 + x3^3 at (1,0,0,0): T(p, x, y) = 0 on the tangent
+    # hyperplane x2 = 0, so no direction is productive.  The four examined
+    # directions with x1 = -x3 lie on the cubic; the other 26 collapse onto p.
+    # The section x1^3 + x3^3 is not a perfect cube.
+    form = IntersectionForm(4, {(0, 0, 2): 1, (1, 1, 1): 1, (3, 3, 3): 1})
+    trace = chase(form, LinearClass((0, 1, 0, 0)), (1, 0, 0, 0), depth=2, budget=30)
+    assert trace.witness is None and trace.edges == []
+    kinds = [k for k, _ in trace.degeneracies]
+    assert kinds == [Degeneracy.LINE_CONTAINED] * 4 + [Degeneracy.TANGENT_SECTION_IS_CONE]
+    assert all(canon(p) == (1, 0, 0, 0) for _, p in trace.degeneracies)
+
+
+def _cone_by_basis(form, p) -> bool:
+    """T(p, u, v) = 0 for every pair of an integer basis of the tangent
+    hyperplane at p, by trilinear evaluation."""
+    basis = kernel_basis([list(form.square_class(p).coords)])
+    return all(form.triple(p, u, v) == 0 for u in basis for v in basis)
+
+
+def test_tangent_section_cone_test_matches_the_hyperplane_basis():
+    # planted cones: with p = e0 and s = T(p, p, -) (s_0 = 0), the entries
+    # d_0ab = s_a l_b + l_a s_b for an l with l_0 = 1 make T(p, -, -) vanish
+    # on {s = 0}; the rest of the form is diagonal, so few pairs are stored.
+    # Near misses zero one d_0ab (its pair then has no stored entry, and only
+    # the pass over the support sees it) or bump one.  Random null points in
+    # between; half of the planted forms in a basis moved by unimodular_matrix.
+    rng = random.Random(61)
+    verdicts = []
+    for trial in range(160):
+        n = rng.randint(3, 7)
+        if trial % 4 == 0:
+            form, p = plant_null_form(rng, n, 3)
+        else:
+            s = [0] + [rng.randint(-2, 2) for _ in range(n - 1)]
+            l = [1] + [rng.randint(-2, 2) for _ in range(n - 1)]
+            entries = {(a, a, a): rng.randint(-3, 3) for a in range(1, n)}
+            for a, b in itertools.combinations_with_replacement(range(n), 2):
+                entries[(0, a, b)] = s[a] * l[b] + l[a] * s[b]
+            a, b = sorted(rng.choices(range(1, n), k=2))
+            if trial % 4 == 2:
+                entries[(0, a, b)] = 0
+            elif trial % 4 == 3:
+                entries[(0, a, b)] += rng.choice((-1, 1))
+            form, p = IntersectionForm(n, entries), (1,) + (0,) * (n - 1)
+            if trial % 8 >= 4:
+                u, u_inv = unimodular_matrix(rng, n)
+                form, p = change_basis(form, u), transform_point(u_inv, p)
+        if form.square_class(p).is_zero:
+            continue
+        verdicts.append(_tangent_section_is_cone(form, Divisor(p)))
+        assert verdicts[-1] == _cone_by_basis(form, p)
+    assert 40 < sum(verdicts) < len(verdicts) - 40
 
 
 def test_chase_respects_budget_and_depth():
@@ -294,6 +361,27 @@ def test_singular_point_conic_pair():
     got = ternary_singular_point(form)
     assert canon(got) == (1, 1, 1)
     assert is_singular_at(form, got)
+
+
+def test_singular_point_from_a_point_description():
+    # 3 x0 (x1^2 - 2 x2^2): the gradient quadric x1^2 - 2 x2^2 is irreducible
+    # of rank 2, so its only rational zero is its radical point (1, 0, 0)
+    form = IntersectionForm(3, {(0, 1, 1): 1, (0, 2, 2): -2})
+    got = ternary_singular_point(form)
+    assert canon(got) == (1, 0, 0)
+    assert is_singular_at(form, got)
+
+
+def test_singular_point_on_a_whole_singular_line():
+    # 6 l^2 m with l = x0 - 2 x1 + x2: every gradient quadric vanishes on the
+    # whole line l = 0, and the search returns its first point
+    x0, x1, x2 = (Poly.variable(3, i) for i in range(3))
+    l = x0 - 2 * x1 + x2
+    form = form_of_cubic(l * l * (x1 + 3 * x2))
+    got = ternary_singular_point(form)
+    assert canon(got) == (1, 0, -1)
+    for point in [got, (1, 1, 1), (0, 1, 2)]:
+        assert is_singular_at(form, point)
 
 
 def test_singular_point_none_by_anisotropy():

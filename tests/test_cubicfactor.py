@@ -14,7 +14,6 @@ from nullcone.cubicfactor import (
     expand_cubic,
     factor_over_Q,
     factor_quadratic_form,
-    is_perfect_cube_linear,
 )
 from nullcone import cubicfactor, exactmath
 from nullcone.exactmath import (
@@ -333,38 +332,24 @@ def test_factor_quadratic_form_irreducible():
 
 
 # ---------------------------------------------------------------------------
-# perfect cube detection
+# scaled cubes of a linear form
 
 
-def test_is_perfect_cube_linear():
-    got = is_perfect_cube_linear(lin([1, -2, 3]) ** 3)
-    assert got is not None
-    l, scalar = got
-    assert Poly.constant(3, scalar) * Poly.linear([frac(c) for c in l]) ** 3 == lin(
-        [1, -2, 3]
-    ) ** 3
-    # s l^3 gives the canonical l and s
+def test_factor_scaled_cube_gives_canonical_linear_and_exact_scalar():
+    # s l^3 gives kind linear_cube with the canonical l three times and the
+    # scalar s, a Fraction only when s is fractional
     rng = random.Random(59)
     for _ in range(30):
         n = rng.randint(1, 5)
         l = canonical_vector(nonzero_vector(rng, n, 3))
         s = frac(Fraction(rng.choice((-4, -1, 1, 3)), rng.randint(1, 3)))
-        assert is_perfect_cube_linear(Poly.constant(n, s) * lin(l) ** 3) == (l, s)
-
-
-def test_is_perfect_cube_linear_of_integer_cube_is_exact():
+        r = factor_over_Q(Poly.constant(n, s) * lin(l) ** 3)
+        assert r.kind is FactorKind.LINEAR_CUBE and r.linears == (l,) * 3
+        assert r.scalar == s and type(r.scalar) is type(s)
     # (2 x0 + x1)^3: the coordinate 1/2 and the scalar come from divisions
-    l, scalar = is_perfect_cube_linear(lin([2, 1]) ** 3)
-    assert l == (2, 1) and scalar == 1 and is_exact(scalar)
-    l, scalar = is_perfect_cube_linear(Poly.constant(2, 5) * lin([2, 1]) ** 3)
-    assert l == (2, 1) and scalar == 5 and type(scalar) is int
-
-
-def test_is_perfect_cube_linear_rejects():
-    assert is_perfect_cube_linear(expand_cubic(IntersectionForm.diagonal([1, 1]))) is None
-    assert is_perfect_cube_linear(Poly.linear([1, 2])) is None
-    f = (lin([1, 1, 0]) ** 2) * lin([1, 0, -1])
-    assert is_perfect_cube_linear(f) is None
+    for s in (1, 5):
+        r = factor_over_Q(Poly.constant(2, s) * lin([2, 1]) ** 3)
+        assert r.linears == ((2, 1),) * 3 and r.scalar == s and type(r.scalar) is int
 
 
 def test_factorization_is_frozen():
