@@ -335,9 +335,14 @@ def test_factor_quadratic_form_irreducible():
 # scaled cubes of a linear form
 
 
-def test_factor_scaled_cube_gives_canonical_linear_and_exact_scalar():
+def test_is_perfect_cube_linear():
     # s l^3 gives kind linear_cube with the canonical l three times and the
     # scalar s, a Fraction only when s is fractional
+    f = lin([1, -2, 3]) ** 3
+    r = factor_over_Q(f)
+    assert r.kind is FactorKind.LINEAR_CUBE
+    (l, _, _), scalar = r.linears, r.scalar
+    assert Poly.constant(3, scalar) * Poly.linear([frac(c) for c in l]) ** 3 == f
     rng = random.Random(59)
     for _ in range(30):
         n = rng.randint(1, 5)
@@ -346,10 +351,16 @@ def test_factor_scaled_cube_gives_canonical_linear_and_exact_scalar():
         r = factor_over_Q(Poly.constant(n, s) * lin(l) ** 3)
         assert r.kind is FactorKind.LINEAR_CUBE and r.linears == (l,) * 3
         assert r.scalar == s and type(r.scalar) is type(s)
+
+
+def test_is_perfect_cube_linear_of_integer_cube_is_exact():
     # (2 x0 + x1)^3: the coordinate 1/2 and the scalar come from divisions
-    for s in (1, 5):
-        r = factor_over_Q(Poly.constant(2, s) * lin([2, 1]) ** 3)
-        assert r.linears == ((2, 1),) * 3 and r.scalar == s and type(r.scalar) is int
+    r = factor_over_Q(lin([2, 1]) ** 3)
+    assert r.kind is FactorKind.LINEAR_CUBE
+    assert r.linears == ((2, 1),) * 3 and r.scalar == 1 and is_exact(r.scalar)
+    r = factor_over_Q(Poly.constant(2, 5) * lin([2, 1]) ** 3)
+    assert r.kind is FactorKind.LINEAR_CUBE
+    assert r.linears == ((2, 1),) * 3 and r.scalar == 5 and type(r.scalar) is int
 
 
 def test_factorization_is_frozen():
