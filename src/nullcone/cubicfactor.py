@@ -6,7 +6,8 @@ forms of any degree, answers every factoring question: it splits a linear
 factor off the cubic, splits the quadric cofactor and splits a quadratic
 form.
 
-The content is taken once, f = c F, and everything runs on the primitive
+The content is taken once, f = c F, as soon as a coordinate line has a
+root (no root depends on it), and everything after runs on the primitive
 integral F in ints.  Candidates are primitive, so by Gauss's lemma (S. Lang,
 Algebra, IV 2) a cofactor is integral and primitive.  Every factorization is
 re-expanded and compared against the input f before it is handed back.
@@ -74,7 +75,8 @@ def expand_cubic(form: IntersectionForm) -> Poly:
         e[j] += 1
         e[k] += 1
         terms[tuple(e)] = w
-    return Poly(n, terms)
+    # each monomial once, with a nonzero int coefficient
+    return Poly._of(n, terms)
 
 
 def _divided(f: Poly, cand: tuple[int, ...]) -> tuple[tuple[int, ...], Poly] | None:
@@ -128,17 +130,20 @@ def _vanishes_at(coeffs: list[Rat], s: Rat) -> bool:
     return sum(c * num**m * den ** (d - m) for m, c in enumerate(coeffs) if c) == 0
 
 
-def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[tuple[int, ...], Poly] | None:
-    """A linear factor with a nonzero x_p coefficient and its cofactor, or None.
+def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
+    """(c, l, q) with f = c l q, l a linear factor with a nonzero x_p
+    coefficient and l, q primitive integral forms; or None.
 
     f is a form of degree d with a nonzero x_p^d coefficient.  On the
     coordinate line of x_p and x_i a factor x_p + b x_i + ... restricts to
     x_p + b x_i, so -b is a rational root of sum_k c_k t^(d-k), c_k the
-    coefficient of x_p^(d-k) x_i^k.
+    coefficient of x_p^(d-k) x_i^k.  No root depends on the content c of f,
+    so c is taken only once the anchor line has a root.
     """
     n = f.nvars
     if n == 1:
-        return _divided(f, (1,))
+        content, f = primitive_part(f)
+        return (content, *_divided(f, (1,)))
     # anchor on the first variable a other than p: an irreducible form
     # seldom has a root on that line, and d + 1 coefficient lookups decide it
     # before the pass over all of f
@@ -151,6 +156,7 @@ def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[tuple[int, ...],
     anchor_roots = sorted(set(rational_roots(anchor_line)))
     if not anchor_roots:
         return None
+    content, f = primitive_part(f)
     lines, planes = _coordinate_sections(f, p, a, d)
     root_sets: list[tuple[int, list[Rat]]] = []
     for i, coeffs in lines.items():
@@ -181,12 +187,13 @@ def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[tuple[int, ...],
                 coords[i] = -t
             found = _divided(f, canonical_vector(coords))
             if found is not None:
-                return found
+                return (content, *found)
     return None
 
 
-def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | None:
-    """A canonical linear factor of the nonzero integral form f and its cofactor, or None."""
+def _find_linear_factor(f: Poly, seed: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
+    """(c, l, q) with f = c l q for a canonical linear factor l of the nonzero
+    form f, l and q primitive integral forms; or None."""
     n = f.nvars
     # f is homogeneous, so any term gives its degree, and an exponent with an
     # entry d is a pure power x_i^d
@@ -195,7 +202,9 @@ def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | No
     if pivots:
         return _linear_factor_with_pivot(f, pivots[seed % len(pivots)], d)
     # no pure power: shear x_i -> x_i + c_i x_p for a point c with c_p = 1
-    # and f(c) != 0, which is the x_p^d coefficient of the (integral) sheared form
+    # and f(c) != 0, which is the x_p^d coefficient of the sheared form; the
+    # shear is unimodular, so the primitive f shears to a primitive form
+    content, f = primitive_part(f)
     occupied = [i for i in range(n) if any(e[i] for e in f.terms)]
     p = occupied[seed % len(occupied)]
     for cvec in iter_integer_vectors(n - 1):
@@ -207,12 +216,12 @@ def _find_linear_factor(f: Poly, seed: int) -> tuple[tuple[int, ...], Poly] | No
     found = _linear_factor_with_pivot(f.substitute(images), p, d)
     if found is None:
         return None
-    w = list(found[0])
+    w = list(found[1])
     w[p] -= sum(w[i] * c for i, c in enumerate(point) if i != p)
     found = _divided(f, canonical_vector(w))
     if found is None:
         raise AssertionError("shear-mapped factor failed verification")
-    return found
+    return (content, *found)
 
 
 def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
@@ -222,7 +231,7 @@ def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], int] | No
     found = _find_linear_factor(q, 0)
     if found is None:
         return None
-    l1, cof = found
+    _, l1, cof = found
     coords = [0] * q.nvars
     for e, c in cof.terms.items():
         coords[e.index(1)] = c
@@ -255,11 +264,10 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
         raise ValueError("cannot factor the zero cubic")
     if not f.is_homogeneous(3):
         raise ValueError("input must be a homogeneous cubic")
-    scalar, prim_f = primitive_part(f)
-    found = _find_linear_factor(prim_f, seed)
+    found = _find_linear_factor(f, seed)
     if found is None:
         return Factorization(FactorKind.IRREDUCIBLE, 1, (), None)
-    lin, prim = found
+    scalar, lin, prim = found
     # prim is primitive (Gauss's lemma): only its sign is left to normalize
     if prim.terms[max(prim.terms)] < 0:
         scalar, prim = -scalar, -prim

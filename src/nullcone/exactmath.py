@@ -10,9 +10,13 @@ on two ints it gives a float.  Polynomial division runs in ints on primitive
 parts, the content taken once (Gauss's lemma).  The lattice enumerators share
 one lazy depth-first walk in (height, spiral-lex) order, on an explicit
 stack, whose cost grows with the vectors consumed rather than with the rank.
+A kernel walk cuts a prefix as soon as some row cannot be completed: per
+height and column, an int bitset holds the sums the remaining coordinates
+can reach, so only prefixes that lead to a vector are extended.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from operator import add, sub
@@ -224,14 +228,18 @@ def integral_divide(f: Poly, g: Poly) -> Poly | None:
 
     Plain lex division in ints.  If g | f, each remainder's leading term is a
     multiple of g's, by an integral coefficient (Gauss's lemma): one failed
-    step proves non-divisibility."""
+    step proves non-divisibility.  The remainder's exponents are kept sorted,
+    the leading one last; an exponent cancelled since is skipped."""
     le_g = max(g.terms)
     lc_g = g.terms[le_g]
     g_tail = [(e, c) for e, c in g.terms.items() if e != le_g]
     q: dict[Exponent, int] = {}
     r = dict(f.terms)
+    order = sorted(r)
     while r:
-        le_r = max(r)
+        le_r = order.pop()
+        if le_r not in r:
+            continue
         e = tuple(map(sub, le_r, le_g))
         if min(e, default=0) < 0:
             return None
@@ -239,14 +247,17 @@ def integral_divide(f: Poly, g: Poly) -> Poly | None:
         if rem:
             return None
         q[e] = c
-        # r -= c x^e g; its leading term cancels lc_r exactly
+        # r -= c x^e g; its leading term cancels lc_r exactly, and every
+        # term it adds lies below it
         for eg, cg in g_tail:
             m = tuple(map(add, e, eg))
             v = r.get(m, 0) - c * cg
-            if v:
-                r[m] = v
-            else:
+            if not v:
                 del r[m]
+                continue
+            if m not in r:
+                bisect.insort(order, m)
+            r[m] = v
     return Poly._of(f.nvars, q)
 
 
@@ -521,6 +532,42 @@ def spiral_key(v: Sequence[int]):
     return tuple((abs(int(x)), 0 if x >= 0 else 1) for x in v)
 
 
+# A row gets reachability bitsets only while n (2 h sum|a| + 1), which bounds
+# the bits of either of its two bitset lists, is at most this (512 KiB each);
+# a wider row keeps only the interval bound.
+_REACH_BITS = 1 << 22
+
+
+def _smear(bits: int, step: int, count: int) -> int:
+    """The union of bits << j*step over 0 <= j < count, by doubling."""
+    k = 1
+    while 2 * k <= count:
+        bits |= bits << k * step
+        k *= 2
+    return bits | bits << (count - k) * step
+
+
+def _reach(row: list[int], h: int) -> list[tuple[int, int | None, int | None]]:
+    """Per column c, (span, full, tall) for the tail sums
+    S = sum_{k>c} row[k] x_k over integers |x_k| <= h.
+
+    span = h sum_{k>c} |row[k]| bounds |S|.  Bit span + S of ``full`` is set
+    when S is such a sum, and of ``tall`` when it is one with some |x_k| = h.
+    Past _REACH_BITS both are None, and only the bound is left.
+    """
+    span = 0
+    full, tall = (1, 0) if len(row) * (2 * h * sum(map(abs, row)) + 1) <= _REACH_BITS else (None, None)
+    out = []
+    for a in map(abs, reversed(row)):
+        out.append((span, full, tall))
+        span += h * a
+        if full is not None:
+            # x_k = -h..h shifts by 0..2h steps of a; x_k = +-h alone by 0 or 2h
+            tall = _smear(tall, a, 2 * h + 1) | full | full << 2 * h * a
+            full = _smear(full, a, 2 * h + 1)
+    return out[::-1]
+
+
 def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None) -> Iterator[tuple[int, ...]]:
     """Vectors x != 0 in Z^n with rows.x = 0, lazily, by (height, spiral-lex).
 
@@ -528,10 +575,15 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
     ..., h, -h.  ``rows`` are integer and in echelon form from the right:
     each row's last nonzero column is zero in the other rows, so it is solved
     exactly once the walk reaches it.  A branch ends when that value is not
-    an integer of height <= h, or when a row's partial sum exceeds h times
-    the absolute sum of its remaining coefficients.  With ``canonical`` only
-    primitive vectors with a positive leading entry come out; with a single
-    free column that is one vector, and the walk ends after it.
+    an integer of height <= h, or when some row cannot be completed: the
+    negated partial sum must be a sum the remaining coordinates reach at
+    height <= h (`_reach`), and one reached with a coordinate at height h
+    while no fixed coordinate is at h yet.  The cut only drops branches that
+    yield nothing, so the order is that of the plain walk.  With no rows the
+    test is skipped, and while no coordinate is at h the last one takes only
+    h and -h.  With ``canonical`` only primitive vectors with a positive
+    leading entry come out; with a single free column that is one vector,
+    and the walk ends after it.
     """
     pivot_row: list[int | None] = [None] * n
     for r, row in enumerate(rows):
@@ -539,7 +591,6 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
     free = pivot_row.count(None)
     if free == 0:
         return
-    room = [[sum(abs(a) for a in row[c + 1:]) for row in rows] for c in range(n)]
     x = [0] * n
 
     def values(c: int, sums: list[int], top: int) -> list[int]:
@@ -551,9 +602,19 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
             out = [] if rem or abs(q) > h else [q]
         if canonical and not top:
             out = [v for v in out if v >= 0]
-        if c == n - 1 and top < h:
+        if not rows and c == n - 1 and top < h:
             out = [v for v in out if abs(v) == h]
         return out
+
+    def reachable(sums: list[int], c: int, t: int) -> bool:
+        for s, (span, full, tall) in zip(sums, reach[c]):
+            i = span - s
+            if i < 0 or i > 2 * span:
+                return False
+            bits = full if t == h else tall
+            if bits is not None and not bits >> i & 1:
+                return False
+        return True
 
     def extend() -> Iterator[tuple[int, ...]]:
         # per fixed coordinate: its values left, and the row sums and height before it
@@ -564,10 +625,10 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
             c = len(stack) - 1
             for v in it:
                 nxt = [s + row[c] * v for s, row in zip(sums, rows)]
-                if any(abs(s) > h * b for s, b in zip(nxt, room[c])):
+                t = max(top, abs(v))
+                if rows and not reachable(nxt, c, t):
                     continue
                 x[c] = v
-                t = max(top, abs(v))
                 if c + 1 < n:
                     stack.append((iter(values(c + 1, nxt, t)), nxt, t))
                     break
@@ -579,6 +640,7 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
     h = 1
     while max_height is None or h <= max_height:
         spiral = [0] + [s * k for k in range(1, h + 1) for s in (1, -1)]
+        reach = list(zip(*(_reach(row, h) for row in rows)))
         for v in extend():
             yield v
             if canonical and free == 1:
@@ -600,8 +662,13 @@ def iter_kernel_primitives(rows: Sequence[Sequence], max_height: int | None = No
     """Canonical primitive integer vectors of ker(rows), by (height, spiral-lex).
 
     Lazy: the cost grows with the vectors consumed, not with the rank.  A
-    kernel that is a line yields its one vector and ends.
+    kernel that is a line yields its one vector and ends.  A single row's
+    primitive part is its own echelon form.
     """
-    m, pivots = rref([row[::-1] for row in rows])
-    echelon = [list(primitive_vector(row[::-1])) for row in m[: len(pivots)]]
+    if len(rows) == 1:
+        row = primitive_vector(rows[0])
+        echelon = [list(row)] if any(row) else []
+    else:
+        m, pivots = rref([row[::-1] for row in rows])
+        echelon = [list(primitive_vector(row[::-1])) for row in m[: len(pivots)]]
     return _walk(len(rows[0]), echelon, True, max_height)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactmath import Rat, Vec, canonical_vector, frac, primitive_vector, vec, vec_dot
+from .exactmath import Rat, Vec, canonical_vector, frac, primitive_vector, ratio, vec, vec_dot
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class IntersectionForm:
                      + x[k] * (y[i] * z[j] + y[j] * z[i]))
                 for i, j, k, w in self.monomials
             ) // 6
-        return frac(Fraction(total, dx * dy * dz))
+        return ratio(total, dx * dy * dz)
 
     def cube(self, d) -> Rat:
         return self.triple(d, d, d)
@@ -167,7 +167,7 @@ class IntersectionForm:
     def square_class(self, d) -> LinearClass:
         """The linear functional T(d, d, -) in basis coordinates."""
         x, den = self._scaled(d)
-        return LinearClass(tuple(Fraction(t, den * den) for t in self._square(x)))
+        return LinearClass(tuple(ratio(t, den * den) for t in self._square(x)))
 
     def numerical_dimension(self, d) -> int:
         """nu(d) in {0,1,2,3}: largest power of d that is nonzero in the ring."""

@@ -4,6 +4,7 @@ from fractions import Fraction
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -11,6 +12,7 @@ import pytest
 
 from nullcone.exactmath import (
     Poly,
+    _reach,
     canonical_vector,
     exact_divide,
     frac,
@@ -418,3 +420,67 @@ def test_enumerators_start_at_rank_2000():
 def test_iter_kernel_primitives_trivial_kernel():
     rows = [[frac(1), frac(0)], [frac(0), frac(1)]]
     assert list(iter_kernel_primitives(rows)) == []
+
+
+def _planted_rows(rng, n, k):
+    """k rows with entries drawn from +-200 whose kernel holds two planted
+    vectors of height 1: e_j + (others) and e_j2 + (others), j != j2.  Each
+    row is shifted on j and j2 to vanish on them."""
+    j1, j2 = rng.sample(range(n), 2)
+    plants = []
+    for j, other in ((j1, j2), (j2, j1)):
+        w = [rng.randint(-1, 1) for _ in range(n)]
+        w[j], w[other] = 1, 0
+        plants.append((j, w))
+    rows = []
+    for _ in range(k):
+        row = [rng.randint(-200, 200) for _ in range(n)]
+        for j, w in plants:
+            row[j] -= vec_dot(row, w)
+        rows.append(row)
+    return rows
+
+
+def test_pruned_walk_matches_bruteforce_on_large_entries():
+    # two and three rows of this size have echelon entries in the 10^4 to
+    # 10^8 range, so both the reachability bitsets and the interval bound cut
+    rng = random.Random(1311)
+    for n in range(3, 6):
+        h = 4 if n <= 4 else 3
+        box = _primitive_box(n, h)
+        for _ in range(8):
+            rows = _planted_rows(rng, n, rng.randint(1, min(3, n - 2)))
+            brute = [v for v in box if not any(sum(map(operator.mul, row, v)) for row in rows)]
+            assert len(brute) >= 2
+            assert list(iter_kernel_primitives(rows, max_height=h)) == brute, rows
+
+
+def test_row_past_the_bitset_limit_keeps_the_order():
+    # entries near 10^12: the row's bitsets would pass the limit, so only
+    # the interval bound cuts; the short kernel vectors still come in order
+    rng = random.Random(12)
+    a, b, c = (rng.randint(10**11, 10**12) for _ in range(3))
+    row = [a, b, -a, -b, c]
+    assert _reach(row, 1)[0][1] is None
+    box = _primitive_box(5, 3)
+    brute = [v for v in box if vec_dot(row, v) == 0]
+    start = time.perf_counter()
+    got = list(iter_kernel_primitives([row], max_height=3))
+    elapsed = time.perf_counter() - start
+    assert got == brute and len(got) >= 10
+    assert elapsed < 0.5, f"height-3 walk took {elapsed:.3f}s"
+
+
+def test_first_kernel_vectors_of_wide_rows_are_fast():
+    # one row in 5 columns with entries in +-1000 has its first 20 kernel
+    # vectors at height 7 or 8; the interval bound alone explored most of
+    # each height's prefixes first (about 0.2-0.4 s for these five rows)
+    rng = random.Random(7)
+    rows = [[rng.randint(-1000, 1000) for _ in range(5)] for _ in range(5)]
+    start = time.perf_counter()
+    firsts = [list(itertools.islice(iter_kernel_primitives([row]), 20)) for row in rows]
+    elapsed = time.perf_counter() - start
+    for row, got in zip(rows, firsts):
+        assert len(got) == 20 and all(vec_dot(row, v) == 0 for v in got)
+        assert [height(v) for v in got] == sorted(height(v) for v in got)
+    assert elapsed < 0.1, f"first 20 vectors of five rows took {elapsed:.3f}s"
