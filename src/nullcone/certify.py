@@ -405,7 +405,7 @@ class _Pipeline:
                 "the degenerate-ray criterion does not apply"
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-        if disc is not None and is_perfect_square(disc) is None:
+        if disc is not None and s is None:
             self.warnings.append(
                 "the restricted cubic has no rational null ray besides D "
                 "(discriminant is not a rational square)"

@@ -35,6 +35,14 @@ from .nsring import (
 from .quadpoints import IsotropyKind, QuadraticForm, isotropic_vector
 
 
+# (document key, Assumptions field), in the order the text rendering lists them
+_ASSUMPTIONS = (
+    ("D_is_nef_nonample", "d_is_nef_nonample"),
+    ("H_is_ample", "h_is_ample"),
+    ("X_is_calabi_yau", "x_is_calabi_yau"),
+)
+
+
 class InputError(ValueError):
     """A malformed input document, with a locating message."""
 
@@ -117,18 +125,13 @@ def parse_input(doc) -> ParsedInput:
     raw_asm = doc.get("assumptions", {})
     if not isinstance(raw_asm, dict):
         raise InputError("assumptions: expected an object")
-    known = {"D_is_nef_nonample", "H_is_ample", "X_is_calabi_yau"}
-    bad = set(raw_asm) - known
+    bad = set(raw_asm) - {key for key, _ in _ASSUMPTIONS}
     if bad:
         raise InputError(f"assumptions: unknown keys {sorted(bad)}")
     for key, val in raw_asm.items():
         if not isinstance(val, bool):
             raise InputError(f"assumptions[{key!r}]: expected true or false")
-    assumptions = Assumptions(
-        d_is_nef_nonample=raw_asm.get("D_is_nef_nonample", True),
-        h_is_ample=raw_asm.get("H_is_ample", True),
-        x_is_calabi_yau=raw_asm.get("X_is_calabi_yau", True),
-    )
+    assumptions = Assumptions(**{f: raw_asm.get(key, True) for key, f in _ASSUMPTIONS})
     return ParsedInput(form, c2, divisors, assumptions)
 
 
@@ -161,11 +164,7 @@ def input_document(parsed: ParsedInput) -> dict:
             name: [rat_str(c) for c in div.coords]
             for name, div in sorted(parsed.divisors.items())
         },
-        "assumptions": {
-            "D_is_nef_nonample": parsed.assumptions.d_is_nef_nonample,
-            "H_is_ample": parsed.assumptions.h_is_ample,
-            "X_is_calabi_yau": parsed.assumptions.x_is_calabi_yau,
-        },
+        "assumptions": {key: getattr(parsed.assumptions, f) for key, f in _ASSUMPTIONS},
     }
 
 
@@ -200,11 +199,7 @@ def certificate_document(cert: Certificate) -> dict:
             for chk in cert.trace
         ],
         "warnings": list(cert.warnings),
-        "assumptions": {
-            "D_is_nef_nonample": cert.assumptions.d_is_nef_nonample,
-            "H_is_ample": cert.assumptions.h_is_ample,
-            "X_is_calabi_yau": cert.assumptions.x_is_calabi_yau,
-        },
+        "assumptions": {key: getattr(cert.assumptions, f) for key, f in _ASSUMPTIONS},
         "caveats": list(cert.caveats),
     }
 
@@ -246,11 +241,7 @@ def certificate_from_document(doc) -> Certificate:
         witnesses=witnesses,
         trace=trace,
         warnings=list(doc.get("warnings", [])),
-        assumptions=Assumptions(
-            d_is_nef_nonample=asm.get("D_is_nef_nonample", True),
-            h_is_ample=asm.get("H_is_ample", True),
-            x_is_calabi_yau=asm.get("X_is_calabi_yau", True),
-        ),
+        assumptions=Assumptions(**{f: asm.get(key, True) for key, f in _ASSUMPTIONS}),
         caveats=list(doc.get("caveats", [])),
     )
 
@@ -280,13 +271,9 @@ def render_text(cert: Certificate) -> str:
     lines.append("caveats:")
     for c in cert.caveats:
         lines.append(f"  - {c}")
-    asm = cert.assumptions
-    lines.append(
-        "assumptions: "
-        f"D_is_nef_nonample={str(asm.d_is_nef_nonample).lower()} "
-        f"H_is_ample={str(asm.h_is_ample).lower()} "
-        f"X_is_calabi_yau={str(asm.x_is_calabi_yau).lower()}"
-    )
+    lines.append("assumptions: " + " ".join(
+        f"{key}={str(getattr(cert.assumptions, f)).lower()}" for key, f in _ASSUMPTIONS
+    ))
     return "\n".join(lines) + "\n"
 
 

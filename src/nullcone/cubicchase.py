@@ -16,12 +16,12 @@ from .cubicfactor import factor_quadratic_form
 from .exactmath import (
     Poly,
     canonical_vector,
+    echelon,
     height,
     iter_kernel_primitives,
     kernel_basis,
     primitive_vector,
     rational_roots,
-    rref,
     spiral_key,
 )
 from .nsring import Divisor, IntersectionForm, LinearClass, _as_divisor
@@ -238,7 +238,7 @@ def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
         dd = _as_divisor(d)
         for g in candidates:
             rows = [list(dd.coords), list(ee.coords), list(g)]
-            if len(rref(rows)[1]) == 3:
+            if len(echelon(rows)[1]) == 3:
                 chosen = g
                 break
     val = form.triple(ee, chosen, chosen)

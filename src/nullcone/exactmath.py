@@ -6,10 +6,11 @@ it is fractional, and then a reduced ``fractions.Fraction``.  `vec` and the
 constructors of `Poly`, divisor classes and quadratic forms apply it, so
 integral data is held, and computed on, as ints.  Each true division is
 `ratio(a, b)`, a ``Fraction`` only when fractional; ``/`` is never used, since
-on two ints it gives a float.  Polynomial division runs in ints on primitive
-parts, the content taken once (Gauss's lemma).  The lattice enumerators share
-one lazy depth-first walk in (height, spiral-lex) order, on an explicit
-stack, whose cost grows with the vectors consumed rather than with the rank.
+on two ints it gives a float.  `cleared` alone clears denominators, and
+kernels are read off the integer `echelon` form.  Polynomial division runs in
+ints on primitive parts, the content taken once (Gauss's lemma).  The lattice
+enumerators share one lazy depth-first walk in (height, spiral-lex) order, on
+an explicit stack, whose cost grows with the vectors consumed, not the rank.
 A kernel walk cuts a prefix as soon as some row cannot be completed: per
 height and column, an int bitset holds the sums the remaining coordinates
 can reach, so only prefixes that lead to a vector are extended.
@@ -61,6 +62,15 @@ def vec_dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return sum(x * y for x, y in zip(a, b))
+
+
+def cleared(v: Sequence[Rat]) -> tuple[tuple[int, ...], int]:
+    """(d v, d) for the least d >= 1 with d v integral: the one place that
+    clears denominators.  An all-int tuple comes back as itself, with d = 1."""
+    if all(type(x) is int for x in v):
+        return (v if type(v) is tuple else tuple(v)), 1
+    d = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +223,7 @@ class Poly:
 def primitive_part(p: Poly) -> tuple[Rat, Poly]:
     """(c, q) with p = c q, c > 0 and q integral and primitive; an integral p
     is not rescaled, and a primitive one comes back as itself."""
-    nums = list(p.terms.values())
-    den = 1 if all(type(c) is int for c in nums) else math.lcm(*(c.denominator for c in nums))
-    if den > 1:
-        nums = [int(c * den) for c in nums]
+    nums, den = cleared(list(p.terms.values()))
     g = math.gcd(*nums)
     if g == 1 and den == 1:
         return 1, p
@@ -374,10 +381,7 @@ def _one_rational_root(coeffs: list[Rat]) -> Rat | None:
         return ratio(-coeffs[1], coeffs[0])
     if coeffs[-1] == 0:
         return 0
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
+    ints = primitive_vector(coeffs)
     for p in _divisors(ints[-1]):
         for q in _divisors(ints[0]):
             for num in (p, -p):
@@ -441,48 +445,15 @@ def mat_vec(a: Mat, v: Sequence) -> Vec:
     return tuple(vec_dot(row, v) for row in a)
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    m = [[frac(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][col]
-        m[r] = [ratio(x, lead) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [frac(x - f * y) for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
     """Primitive integer representative of a rational vector, sign preserved.
 
     Clears denominators and divides out the (positive) content; the direction
     of the input is kept, so formula outputs stay recognizable.
     """
-    w = [frac(x) for x in v]
-    if all(x == 0 for x in w):
-        return tuple(0 for _ in w)
-    if any(type(x) is not int for x in w):
-        den = math.lcm(*(x.denominator for x in w))
-        w = [int(x * den) for x in w]
+    w, _ = cleared([frac(x) for x in v])
     g = math.gcd(*w)
-    return tuple(x // g for x in w)
+    return tuple(x // g for x in w) if g > 1 else w
 
 
 def canonical_vector(v: Sequence) -> tuple[int, ...]:
@@ -498,23 +469,62 @@ def canonical_vector(v: Sequence) -> tuple[int, ...]:
     return w
 
 
+def echelon(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Integer reduced echelon form: the nonzero rows and their pivot columns.
+
+    Fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22 (1968)): a step
+    replaces a row by the primitive part of a row - b pivot_row, a > 0 the
+    pivot and b the row's entry.  So each row is the rational RREF's row
+    scaled to a primitive vector, its pivot positive and alone in its column.
+    """
+    m = [primitive_vector(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        p = m[piv] if m[piv][col] > 0 else tuple(-x for x in m[piv])
+        m[piv], m[r] = m[r], p
+        a = p[col]
+        for i, row in enumerate(m):
+            b = row[col]
+            if b and i != r:
+                m[i] = primitive_vector([a * x - b * y for x, y in zip(row, p)])
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return m[: len(pivots)], pivots
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and the pivot column indices: `echelon` with
+    each pivot scaled to 1, then one zero row per input row left over."""
+    m, pivots = echelon(rows)
+    out = [[ratio(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return out + [[0] * len(rows[0]) for _ in range(len(rows) - len(m))], pivots
+
+
 def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Basis of the rational kernel as canonical primitive integer vectors.
 
-    One vector per free column of the RREF, in column order.
+    One vector per free column of the `echelon` form, in column order: 1 in
+    that column, and -(entry / pivot) in each pivot column.
     """
-    m, pivots = rref(rows)
     if not rows:
         raise ValueError("empty matrix")
-    ncols = len(rows[0])
+    m, pivots = echelon(rows)
     basis = []
-    for j in range(ncols):
+    for j in range(len(rows[0])):
         if j in pivots:
             continue
-        v = [0] * ncols
+        v = [0] * len(rows[0])
         v[j] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][j]
+        for row, pc in zip(m, pivots):
+            v[pc] = -ratio(row[j], row[pc])
         basis.append(canonical_vector(v))
     return basis
 
@@ -582,8 +592,8 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
     yield nothing, so the order is that of the plain walk.  With no rows the
     test is skipped, and while no coordinate is at h the last one takes only
     h and -h.  With ``canonical`` only primitive vectors with a positive
-    leading entry come out; with a single free column that is one vector,
-    and the walk ends after it.
+    leading entry come out; with a single free column (rows-free n = 1, as
+    kernel lines never walk) that is one vector, and the walk ends after it.
     """
     pivot_row: list[int | None] = [None] * n
     for r, row in enumerate(rows):
@@ -661,14 +671,13 @@ def iter_primitive_vectors(n: int, max_height: int | None = None) -> Iterator[tu
 def iter_kernel_primitives(rows: Sequence[Sequence], max_height: int | None = None) -> Iterator[tuple[int, ...]]:
     """Canonical primitive integer vectors of ker(rows), by (height, spiral-lex).
 
-    Lazy: the cost grows with the vectors consumed, not with the rank.  A
-    kernel that is a line yields its one vector and ends.  A single row's
-    primitive part is its own echelon form.
+    A kernel of dimension at most 1 gives its `kernel_basis` vector, if its
+    height is at most max_height, with no walk.  A larger one is walked over
+    the `echelon` form from the right, lazily: the cost grows with the vectors
+    consumed, not with the rank.
     """
-    if len(rows) == 1:
-        row = primitive_vector(rows[0])
-        echelon = [list(row)] if any(row) else []
-    else:
-        m, pivots = rref([row[::-1] for row in rows])
-        echelon = [list(primitive_vector(row[::-1])) for row in m[: len(pivots)]]
-    return _walk(len(rows[0]), echelon, True, max_height)
+    n = len(rows[0])
+    m, pivots = echelon([row[::-1] for row in rows])
+    if n - len(pivots) <= 1:
+        return iter([v for v in kernel_basis(rows) if max_height is None or height(v) <= max_height])
+    return _walk(n, [list(row[::-1]) for row in m], True, max_height)

@@ -6,12 +6,11 @@ them.  All queries are exact.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactmath import Rat, Vec, canonical_vector, frac, primitive_vector, ratio, vec, vec_dot
+from .exactmath import Rat, Vec, canonical_vector, cleared, frac, primitive_vector, ratio, vec, vec_dot
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,7 @@ class IntersectionForm:
 
     def _scaled(self, d) -> tuple[tuple[int, ...], int]:
         """Integer coordinates and their common denominator."""
-        c = self._coords(d)
-        den = math.lcm(*(q.denominator for q in c))
-        if den == 1:
-            return c, 1
-        return tuple(q.numerator * (den // q.denominator) for q in c), den
+        return cleared(self._coords(d))
 
     def triple(self, a, b, c) -> Rat:
         """The full trilinear evaluation T(a, b, c)."""

@@ -24,6 +24,7 @@ from .exactmath import (
     Poly,
     Rat,
     canonical_vector,
+    cleared,
     factorint,
     frac,
     is_probable_prime,
@@ -135,9 +136,9 @@ class QuadraticForm:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "gram", rows)
-        den = math.lcm(*(e.denominator for row in rows for e in row))
+        flat, den = cleared([e for row in rows for e in row])
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "igram", tuple(tuple(int(e * den) for e in row) for row in rows))
+        object.__setattr__(self, "igram", tuple(flat[i * n : i * n + n] for i in range(n)))
 
     @property
     def nvars(self) -> int:
@@ -183,20 +184,13 @@ class QuadraticForm:
         return Poly(n, terms)
 
     def evaluate(self, v: Sequence) -> Rat:
-        x, d = _cleared(v)
+        x, d = cleared(vec(v))
         return ratio(vec_dot(x, mat_vec(self.igram, x)), self.den * d * d)
 
     def bilinear(self, v: Sequence, w: Sequence) -> Rat:
         """Polar pairing B with Q(v+w) = Q(v) + 2 B(v,w) + Q(w)."""
-        (x, dx), (y, dy) = _cleared(v), _cleared(w)
+        (x, dx), (y, dy) = cleared(vec(v)), cleared(vec(w))
         return ratio(vec_dot(x, mat_vec(self.igram, y)), self.den * dx * dy)
-
-
-def _cleared(v: Sequence) -> tuple[list[int], int]:
-    """(d v, d), d the lcm of the denominators of the rational vector v."""
-    x = vec(v)
-    d = math.lcm(*(c.denominator for c in x))
-    return [int(c * d) for c in x], d
 
 
 def _quad(a: Sequence[Sequence[int]], x: Sequence[int]) -> int:
@@ -442,9 +436,12 @@ def is_isotropic(q: QuadraticForm) -> IsotropyVerdict:
 
 
 def _ternary_descent(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Nontrivial zero of a x^2 + b y^2 + c z^2 (squarefree, mixed signs,
-    known solvable).  Classical descent with explicit witness back-maps."""
-    back = []
+    """Nontrivial primitive zero of a x^2 + b y^2 + c z^2 (squarefree, mixed
+    signs, known solvable), by classical descent.  Each reduction (a square
+    t^2 out of one coefficient, a common factor g of two moved to the third)
+    lifts a zero back by scaling coordinates by t or g; positive diagonal
+    scalings commute, so one ``scale`` list holds them all."""
+    scale = [1, 1, 1]
     abc = [a, b, c]
     while True:
         progressed = False
@@ -452,13 +449,9 @@ def _ternary_descent(a: int, b: int, c: int) -> tuple[int, int, int]:
             s, t = squarefree_split(abc[i])
             if t != 1:
                 abc[i] = s
-
-                def lift_square(sol, i=i, t=t):
-                    out = [x * t for x in sol]
-                    out[i] = sol[i]
-                    return tuple(out)
-
-                back.append(lift_square)
+                for k in range(3):
+                    if k != i:
+                        scale[k] *= t
                 progressed = True
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             g = math.gcd(abc[i], abc[j])
@@ -466,13 +459,7 @@ def _ternary_descent(a: int, b: int, c: int) -> tuple[int, int, int]:
                 abc[i] //= g
                 abc[j] //= g
                 abc[k] *= g
-
-                def lift_gcd(sol, k=k, g=g):
-                    out = list(sol)
-                    out[k] = sol[k] * g
-                    return tuple(out)
-
-                back.append(lift_gcd)
+                scale[k] *= g
                 progressed = True
                 break
         if not progressed:
@@ -484,10 +471,7 @@ def _ternary_descent(a: int, b: int, c: int) -> tuple[int, int, int]:
     sol = (v, w, u // c1)
     if a1 * sol[0] ** 2 + b1 * sol[1] ** 2 + c1 * sol[2] ** 2 != 0:
         raise AssertionError("descent verification failed")
-    for lift in reversed(back):
-        sol = lift(sol)
-    g = math.gcd(*sol)
-    return tuple(x // g for x in sol)
+    return primitive_vector([x * m for x, m in zip(sol, scale)])
 
 
 def _lagrange(a: int, b: int) -> tuple[int, int, int]:
@@ -527,9 +511,7 @@ def _lagrange(a: int, b: int) -> tuple[int, int, int]:
     x, y, z = _lagrange(a, b_core)
     u = t * x + a * y
     v = x + t * y
-    w = b_core * sq * z
-    g = math.gcd(u, v, w)
-    return (u // g, v // g, w // g)
+    return primitive_vector((u, v, b_core * sq * z))
 
 
 def _dense_zero_search(gram: list[list[int]], budget: int) -> tuple[int, ...] | None:
@@ -646,9 +628,7 @@ def _diagonal_zero(s: list[int]) -> tuple[int, ...]:
     a = _ternary_descent(s[0], s[1], -u)
     b = _diagonal_zero(rest + [u])
     # s_0 != -s_1, so a_2 != 0 and the joined vector is nonzero
-    w = (a[0] * b[-1], a[1] * b[-1]) + tuple(a[2] * x for x in b[:-1])
-    g = math.gcd(*w)
-    return tuple(x // g for x in w)
+    return primitive_vector((a[0] * b[-1], a[1] * b[-1]) + tuple(a[2] * x for x in b[:-1]))
 
 
 def isotropic_vector(q: QuadraticForm) -> IsotropyVerdict:

@@ -280,6 +280,21 @@ def test_rref_of_integer_matrices_is_exact():
     assert _types(m) == [[int, int, Fraction], [int, int, Fraction]]
 
 
+def test_rref_keeps_zero_rows_last():
+    # rank 2 of 4 rows, two of them multiples of the others: every input row
+    # comes back, the two zero rows after the pivot rows
+    rows = [
+        [0, 0, Fraction(1, 3), 1],
+        [1, Fraction(1, 2), 2, 0],
+        [2, 1, 4, 0],
+        [3, Fraction(3, 2), Fraction(19, 3), 1],
+    ]
+    m, pivots = rref(rows)
+    assert pivots == [0, 2]
+    assert m == [[1, Fraction(1, 2), 0, -6], [0, 0, 1, 3], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert kernel_basis(rows) == [(1, -2, 0, 0), (6, 0, -3, 1)]
+
+
 def test_kernel_basis_full_rank_is_empty():
     rows = [[frac(1), frac(0)], [frac(0), frac(1)]]
     assert kernel_basis(rows) == []
@@ -393,6 +408,19 @@ def test_one_dimensional_lattices_end_after_their_vector():
     assert list(iter_kernel_primitives([[1, -1]])) == [(1, 1)]
     assert list(iter_kernel_primitives([[0, 0, 3], [2, -4, 0]])) == [(2, 1, 0)]
     assert list(iter_primitive_vectors(1)) == [(1,)]
+
+
+def test_line_kernels_with_tall_vectors_are_read_off_the_echelon():
+    # each kernel is a line whose vector has height above 7000; a walk
+    # through every height below it took more than 5 s per kernel
+    start = time.perf_counter()
+    first = list(iter_kernel_primitives([[-132, -195, 21], [-154, -39, 150]]))
+    second = list(iter_kernel_primitives([[-134, -36, -167], [-44, -114, -130]]))
+    elapsed = time.perf_counter() - start
+    assert first == [(9477, -5522, 8294)]
+    assert second == [(7179, 5036, -6846)]
+    assert elapsed < 0.1, f"two line kernels took {elapsed:.3f}s"
+    assert list(iter_kernel_primitives([[-132, -195, 21], [-154, -39, 150]], max_height=9000)) == []
 
 
 def test_kernel_enumeration_is_lazy_at_high_rank():

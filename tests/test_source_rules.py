@@ -19,3 +19,31 @@ def test_no_true_division_in_library():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_denominators_are_cleared_in_one_place():
+    # `exactmath.cleared` is the one lcm-of-denominators; a copy elsewhere
+    # drifts from it (an int fast path, list versus tuple, int(c * d))
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "exactmath.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "cleared":
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "lcm"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "math"
+                and any(
+                    isinstance(n, ast.Attribute) and n.attr == "denominator"
+                    for arg in node.args for n in ast.walk(arg)
+                )
+                and id(node) not in allowed
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
