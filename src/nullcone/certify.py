@@ -9,7 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cubicchase import chase, inflection_test, residual_on_tangent, ternary_singular_point
+from .cubicchase import (
+    NullPoint,
+    chase,
+    inflection_test,
+    residual_on_tangent,
+    ternary_singular_point,
+)
 from .cubicfactor import FactorKind, expand_cubic, factor_over_Q
 from .exactmath import (
     Rat,
@@ -278,16 +284,16 @@ class _Pipeline:
             self.witnesses["P"] = p
             self.check("cube(P)", "cube", form.cube(p), p.coords)
             self.check("nu(P)", "nu", form.numerical_dimension(p), p.coords)
-            p_key = canonical_vector(p.coords)
+            point = NullPoint(form, p)
             examined = 0
             for x in iter_primitive_vectors(form.rank):
-                if x == p_key:
+                if x == point.key:
                     continue
                 if examined >= self.opts.budget:
                     break
                 examined += 1
-                e = residual_on_tangent(form, p, Divisor(x))
-                if e is None or canonical_vector(e.coords) == p_key:
+                e = residual_on_tangent(form, point, Divisor(x))
+                if e is None or canonical_vector(e.coords) == point.key:
                     continue
                 if c2.pair(e) != 0:
                     self.witnesses["E"] = e

@@ -11,6 +11,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 
 from .cubicfactor import factor_quadratic_form
 from .exactmath import (
@@ -21,6 +22,7 @@ from .exactmath import (
     iter_kernel_primitives,
     kernel_basis,
     primitive_vector,
+    ratio,
     rational_roots,
     spiral_key,
 )
@@ -55,29 +57,63 @@ def third_point_on_line(form: IntersectionForm, p1, p2) -> Divisor | None:
     return out
 
 
+class NullPoint:
+    """A rational point on the cubic null cone with its tangent data, computed
+    once: integer coordinates x over the denominator den, s = T(x, x, -) from
+    one pass over the entries, and the canonical key.  The point as given is
+    kept as `divisor`.  cube(x) = s . x, so the null test costs O(rank) once s
+    is known; `what` names the point in the error messages."""
+
+    __slots__ = ("divisor", "x", "den", "s", "key", "zeros")
+
+    def __init__(self, form: IntersectionForm, d, what: str = "point"):
+        self.divisor = _as_divisor(d)
+        if self.divisor.is_zero:
+            raise ValueError(f"{what} must be nonzero")
+        self.x, self.den = form._scaled(self.divisor)
+        self.s = form._square(self.x)
+        cube = sum(map(mul, self.s, self.x))
+        if cube:
+            raise ValueError(f"{what} is not on the cubic: cube = {ratio(cube, self.den ** 3)}")
+        self.key = canonical_vector(self.x)
+        self.zeros = self.x.count(0)
+
+
 def residual_on_tangent(form: IntersectionForm, d, x) -> Divisor | None:
     """Residual intersection along a tangent direction at a null point.
 
     The line through d in direction x (with T(d,d,x) = 0) meets the cubic
     doubly at d; the remaining root is cube(x) * d - 3 T(d,x,x) * x.  Returns
-    None when the whole line lies on the cubic."""
-    dd, xx = _as_divisor(d), _as_divisor(x)
-    if dd.is_zero or xx.is_zero:
-        raise ValueError("point and direction must be nonzero")
-    cd = form.cube(dd)
-    if cd != 0:
-        raise ValueError(f"base point is not on the cubic: cube = {cd}")
-    tangency = form.triple(dd, dd, xx)
-    if tangency != 0:
+    None when the whole line lies on the cubic.
+
+    d may be a `NullPoint`, whose tangent data is reused: tangency is then
+    s . x, and cube(x) and T(d, x, x) come from one pass over the entries
+    that touch the support of x, so a direction with few nonzero coordinates
+    costs O(those entries), plus one full null-cone check of a residual that
+    is not None.  The residual is computed in integers, scaled by the
+    positive factor den * xden^3, which moves neither its primitive vector
+    nor its sign."""
+    if isinstance(d, NullPoint):
+        point, xx = d, _as_divisor(x)
+        if xx.is_zero:
+            raise ValueError("point and direction must be nonzero")
+    else:
+        dd, xx = _as_divisor(d), _as_divisor(x)
+        if dd.is_zero or xx.is_zero:
+            raise ValueError("point and direction must be nonzero")
+        point = NullPoint(form, dd, "base point")
+    xi, xden = form._scaled(xx)
+    tangency = sum(map(mul, point.s, xi))
+    if tangency:
+        tangency = ratio(tangency, point.den ** 2 * xden)
         raise ValueError(f"direction is not tangent: T(d,d,x) = {tangency}")
-    if canonical_vector(dd.coords) == canonical_vector(xx.coords):
+    # a parallel direction has the point's zero coordinates
+    if xi.count(0) == point.zeros and point.key == canonical_vector(xi):
         raise ValueError("direction is parallel to the base point")
-    a = form.cube(xx)
-    b = form.triple(dd, xx, xx)
+    a, b = form._cube_and_polar(point.x, xi)
     if a == 0 and b == 0:
         return None
-    pt = tuple(a * u - 3 * b * v for u, v in zip(dd.coords, xx.coords))
-    out = Divisor(primitive_vector(pt))
+    out = Divisor(primitive_vector([a * u - 3 * b * v for u, v in zip(point.x, xi)]))
     if form.cube(out) != 0:
         raise AssertionError("residual point failed the null-cone check")
     return out
@@ -104,7 +140,7 @@ class ChaseTrace:
     witness: Divisor | None = None
 
 
-def _tangent_section_is_cone(form: IntersectionForm, p: Divisor) -> bool:
+def _tangent_section_is_cone(form: IntersectionForm, p: NullPoint) -> bool:
     """Whether T(p, x, y) = 0 for all x, y in H = {s = 0}, s = T(p, p, -) != 0:
     exactly when no tangent direction x at p is productive, since the residual
     cube(x) p - 3 T(p, x, x) x leaves p iff T(p, x, x) != 0.
@@ -114,8 +150,7 @@ def _tangent_section_is_cone(form: IntersectionForm, p: Divisor) -> bool:
     0.  Off the stored entries of M, C_ab != 0 needs both a and b in the
     support of s or of column j of M, so the stored entries are checked first.
     """
-    x, _ = form._scaled(p)
-    s, m = form._square(x), form._polar(x)
+    s, m = p.s, form._polar(p.x)
     j = next(a for a, sa in enumerate(s) if sa)
     col = [m.get((min(a, j), max(a, j)), 0) for a in range(form.rank)]
 
@@ -140,36 +175,32 @@ def chase(
     Stops at the first visited class with nonzero c2 pairing (the witness).
     Directions at each point are the primitive vectors of the tangent-plane
     lattice in (height, spiral) order, at most `budget` per point; `depth`
-    bounds the number of expansion levels.
+    bounds the number of expansion levels.  Each expanded point's tangent
+    data is computed once, as a `NullPoint`; each direction then costs the
+    entries that touch its support (see `residual_on_tangent`).
     """
-    start = _as_divisor(d)
-    if start.is_zero:
-        raise ValueError("start point must be nonzero")
-    c = form.cube(start)
-    if c != 0:
-        raise ValueError(f"start point is not on the cubic: cube = {c}")
+    start = NullPoint(form, d, "start point")
     if depth < 1 or budget < 1:
         raise ValueError("depth and budget must be positive")
     trace = ChaseTrace()
-    trace.visited.append(start)
-    seen = {canonical_vector(start.coords)}
-    queue: deque[tuple[Divisor, int]] = deque([(start, 0)])
-    if c2.pair(start) != 0:
-        trace.witness = start
+    trace.visited.append(start.divisor)
+    seen = {start.key}
+    queue: deque[tuple[Divisor, int]] = deque([(start.divisor, 0)])
+    if c2.pair(start.divisor) != 0:
+        trace.witness = start.divisor
         return trace
     while queue:
-        point, level = queue.popleft()
+        p, level = queue.popleft()
         if level >= depth:
             continue
-        sq = form.square_class(point)
-        if sq.is_zero:
-            trace.degeneracies.append((Degeneracy.POINT_SINGULAR, point))
+        point = start if level == 0 else NullPoint(form, p)
+        if not any(point.s):
+            trace.degeneracies.append((Degeneracy.POINT_SINGULAR, point.divisor))
             continue
-        point_key = canonical_vector(point.coords)
         examined = 0
         productive = collapsed = False
-        for x in iter_kernel_primitives([list(sq.coords)]):
-            if x == point_key:
+        for x in iter_kernel_primitives([point.s]):
+            if x == point.key:
                 continue
             if examined >= budget:
                 break
@@ -177,14 +208,14 @@ def chase(
             direction = Divisor(x)
             residual = residual_on_tangent(form, point, direction)
             if residual is None:
-                trace.degeneracies.append((Degeneracy.LINE_CONTAINED, point))
+                trace.degeneracies.append((Degeneracy.LINE_CONTAINED, point.divisor))
                 continue
             res_key = canonical_vector(residual.coords)
-            if res_key == point_key:
+            if res_key == point.key:
                 collapsed = True
                 continue
             productive = True
-            trace.edges.append(ChaseEdge(point, direction, residual))
+            trace.edges.append(ChaseEdge(point.divisor, direction, residual))
             if res_key not in seen:
                 seen.add(res_key)
                 trace.visited.append(residual)
@@ -193,7 +224,7 @@ def chase(
                     trace.witness = residual
                     return trace
         if collapsed and not productive and _tangent_section_is_cone(form, point):
-            trace.degeneracies.append((Degeneracy.TANGENT_SECTION_IS_CONE, point))
+            trace.degeneracies.append((Degeneracy.TANGENT_SECTION_IS_CONE, point.divisor))
     return trace
 
 

@@ -235,18 +235,28 @@ def integral_divide(f: Poly, g: Poly) -> Poly | None:
 
     Plain lex division in ints.  If g | f, each remainder's leading term is a
     multiple of g's, by an integral coefficient (Gauss's lemma): one failed
-    step proves non-divisibility.  The remainder's exponents are kept sorted,
-    the leading one last; an exponent cancelled since is skipped."""
+    step proves non-divisibility.  For the first log2(terms of f) steps the
+    leading term is `max(r)`, together about the cost of one sort, so a
+    division that fails early sorts nothing.  After that the remainder's
+    exponents are sorted once and kept sorted, the leading one last; an
+    exponent cancelled since is skipped."""
     le_g = max(g.terms)
     lc_g = g.terms[le_g]
     g_tail = [(e, c) for e, c in g.terms.items() if e != le_g]
     q: dict[Exponent, int] = {}
     r = dict(f.terms)
-    order = sorted(r)
+    by_max = len(r).bit_length()
+    order: list[Exponent] | None = None
     while r:
-        le_r = order.pop()
-        if le_r not in r:
-            continue
+        if by_max:
+            by_max -= 1
+            le_r = max(r)
+        else:
+            if order is None:
+                order = sorted(r)
+            le_r = order.pop()
+            if le_r not in r:
+                continue
         e = tuple(map(sub, le_r, le_g))
         if min(e, default=0) < 0:
             return None
@@ -262,7 +272,7 @@ def integral_divide(f: Poly, g: Poly) -> Poly | None:
             if not v:
                 del r[m]
                 continue
-            if m not in r:
+            if order is not None and m not in r:
                 bisect.insort(order, m)
             r[m] = v
     return Poly._of(f.nvars, q)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .exactmath import Rat, Vec, canonical_vector, cleared, frac, primitive_vector, ratio, vec, vec_dot
@@ -88,6 +89,9 @@ class IntersectionForm:
     holds each as (i, j, k, w), w = d_ijk times the number of distinct
     orderings of ijk: the coefficient of x_i x_j x_k in the cubic T(x, x, x).
     Every evaluation is one integer pass over these, O(number of entries).
+    `incidence[c]` lists the positions in `monomials` of the entries whose
+    key holds c, so a vector with few nonzero coordinates can be evaluated
+    on the entries that touch them alone.
     """
 
     def __init__(self, rank: int, entries: Mapping[tuple[int, int, int], int]):
@@ -109,10 +113,17 @@ class IntersectionForm:
                 raise ValueError(f"conflicting values for intersection index {(i, j, k)}")
             table[(i, j, k)] = value
         self.entries = table
-        self.monomials: list[tuple[int, int, int, int]] = [
-            (i, j, k, value * (1 if i == k else 3 if i == j or j == k else 6))
-            for (i, j, k), value in table.items()
-        ]
+        self.monomials: list[tuple[int, int, int, int]] = []
+        self.incidence: list[list[int]] = [[] for _ in range(rank)]
+        for pos, ((i, j, k), value) in enumerate(table.items()):
+            self.monomials.append(
+                (i, j, k, value * (1 if i == k else 3 if i == j or j == k else 6))
+            )
+            self.incidence[i].append(pos)
+            if j != i:
+                self.incidence[j].append(pos)
+            if k != j:
+                self.incidence[k].append(pos)
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "IntersectionForm":
@@ -158,6 +169,22 @@ class IntersectionForm:
             out[j] += w * x[i] * x[k]
             out[k] += w * x[i] * x[j]
         return [t // 3 for t in out]
+
+    def _cube_and_polar(self, p: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, int]:
+        """(T(x, x, x), T(p, x, x)) from integer coordinates p and x, in one
+        pass over the entries that touch the support of x: every other entry
+        has a factor x_c = 0 in both sums (each term of the second takes two of
+        its three coordinates from x)."""
+        touching = set().union(*(self.incidence[c] for c in compress(range(self.rank), x)))
+        cube = polar = 0
+        for pos in touching:
+            i, j, k, w = self.monomials[pos]
+            xi, xj, xk = x[i], x[j], x[k]
+            cube += w * xi * xj * xk
+            polar += w * (p[i] * xj * xk + p[j] * xi * xk + p[k] * xi * xj)
+        # w / 3 times the bracket is T's sum over the distinct orderings of
+        # ijk with p in one slot; every term is a multiple of 3
+        return cube, polar // 3
 
     def square_class(self, d) -> LinearClass:
         """The linear functional T(d, d, -) in basis coordinates."""

@@ -9,6 +9,7 @@ import pytest
 from nullcone.cubicchase import (
     ChaseEdge,
     Degeneracy,
+    NullPoint,
     _tangent_section_is_cone,
     chase,
     inflection_test,
@@ -17,7 +18,7 @@ from nullcone.cubicchase import (
     ternary_singular_point,
     third_point_on_line,
 )
-from nullcone.exactmath import Poly, canonical_vector, kernel_basis
+from nullcone.exactmath import Poly, canonical_vector, kernel_basis, primitive_vector
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
 
 from helpers import (
@@ -25,8 +26,11 @@ from helpers import (
     divisor_coords,
     form_of_cubic,
     hessian_det,
+    key_shape_forms,
+    nonzero_vector,
     on_line,
     plant_null_form,
+    plant_sparse_form,
     transform_point,
     unimodular_matrix,
 )
@@ -142,6 +146,125 @@ def test_residual_errors():
         residual_on_tangent(DIAG4, (1, 1, 1, 0), (0, 0, 0, 0))
 
 
+def _reference_residual(form, d, x):
+    """The residual by full trilinear passes: the checks in order, then
+    cube(x) d - 3 T(d, x, x) x as a primitive vector."""
+    dd, xx = Divisor(d), Divisor(x)
+    if dd.is_zero or xx.is_zero:
+        raise ValueError("point and direction must be nonzero")
+    cd = form.cube(dd)
+    if cd != 0:
+        raise ValueError(f"base point is not on the cubic: cube = {cd}")
+    tangency = form.triple(dd, dd, xx)
+    if tangency != 0:
+        raise ValueError(f"direction is not tangent: T(d,d,x) = {tangency}")
+    if canonical_vector(dd.coords) == canonical_vector(xx.coords):
+        raise ValueError("direction is parallel to the base point")
+    a, b = form.cube(xx), form.triple(dd, xx, xx)
+    if a == 0 and b == 0:
+        return None
+    return primitive_vector([a * u - 3 * b * v for u, v in zip(dd.coords, xx.coords)])
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return ("ok", out if out is None or isinstance(out, tuple) else out.coords)
+
+
+def _residual_cases(rng):
+    """(form, points, directions): dense planted forms of rank 4-8, sparse
+    ones of rank 40-120, and forms holding single key shapes iii, iik, ijj,
+    ijk, whose points have a zero coordinate on the key so that tangent lines
+    often lie on the cubic.  Points include halves and off-cubic vectors;
+    directions are sparse and dense tangent vectors (some over 3), a
+    non-tangent vector, a multiple of the point and zero."""
+    forms = []
+    for n in range(4, 9):
+        form, d = plant_null_form(rng, n, 4)
+        forms.append((form, [d]))
+    for n in (40, 80, 120):
+        form, d = plant_sparse_form(rng, n)
+        forms.append((form, [d]))
+    for form in key_shape_forms(rng, 4)[::3] + key_shape_forms(rng, 5)[-4:]:
+        i = next(iter(form.entries))[0]
+        p = [rng.randint(-3, 3) for _ in range(form.rank)]
+        p[i], p[(i + 1) % form.rank] = 0, rng.choice((-1, 1)) * rng.randint(1, 3)
+        forms.append((form, [tuple(p)]))
+    for form, points in forms:
+        n, d = form.rank, points[0]
+        points += [
+            tuple(Fraction(c, 2) for c in d),
+            nonzero_vector(rng, n, 3),
+            (0,) * n,
+        ]
+        s = form.square_class(d).coords
+        j = next((a for a, sa in enumerate(s) if sa), 0)
+        directions = []
+        for size in (1, 2, 3, n):
+            y = [0] * n
+            for a in rng.sample(range(n), size):
+                y[a] = rng.choice((-1, 1)) * rng.randint(1, 3)
+            # s_j y - (s . y) e_j lies on the tangent hyperplane s = 0; at a
+            # singular point (s = 0) every direction is tangent
+            sy = sum(a * b for a, b in zip(s, y))
+            x = [s[j] * c - (sy if a == j else 0) for a, c in enumerate(y)] if any(s) else y
+            directions += [tuple(x), tuple(Fraction(c, 3) for c in x), tuple(y)]
+        directions += [tuple(-2 * c for c in d), (0,) * n]
+        yield form, points, directions
+
+
+def test_residual_on_tangent_matches_full_passes():
+    # the Divisor path and the NullPoint path against the reference: the same
+    # residual, or the same exception and message, checked in the same order
+    rng = random.Random(62)
+    seen = set()
+    for form, points, directions in _residual_cases(rng):
+        for p in points:
+            try:
+                point = NullPoint(form, p)
+            except ValueError as exc:
+                point, refused = None, str(exc)
+            for x in directions:
+                expect = _outcome(_reference_residual, form, p, x)
+                seen.add(expect[1].split(":")[0] if expect[0] != "ok" else expect[1] is None)
+                assert _outcome(residual_on_tangent, form, p, x) == expect
+                assert _outcome(residual_on_tangent, form, Divisor(p), Divisor(x)) == expect
+                if point is not None:
+                    assert _outcome(residual_on_tangent, form, point, x) == expect
+                elif expect[1].startswith("base point"):
+                    assert refused == expect[1].replace("base point", "point")
+    assert seen == {
+        True, False,
+        "point and direction must be nonzero",
+        "base point is not on the cubic",
+        "direction is not tangent",
+        "direction is parallel to the base point",
+    }
+
+
+def test_chase_on_a_budget_stall_makes_no_full_pass_per_direction(monkeypatch):
+    # the chase from D on the rank-300 stall examines 500 directions, each
+    # spanning a line on the cubic: evaluated on the entries that touch their
+    # supports, they take no trilinear pass over every entry (the full-pass
+    # version took four per direction, 2001 in all)
+    rng = random.Random(1)
+    form, d = plant_sparse_form(rng, 300)
+    calls = []
+    full_pass = IntersectionForm.triple
+
+    def counted(self, *args):
+        calls.append(args)
+        return full_pass(self, *args)
+
+    monkeypatch.setattr(IntersectionForm, "triple", counted)
+    trace = chase(form, LinearClass((0,) * 300), d)
+    assert trace.witness is None and len(trace.degeneracies) == 500
+    assert len(calls) < 10
+
+
 # ---------------------------------------------------------------------------
 # chase
 
@@ -255,7 +378,7 @@ def test_tangent_section_cone_test_matches_the_hyperplane_basis():
                 form, p = change_basis(form, u), transform_point(u_inv, p)
         if form.square_class(p).is_zero:
             continue
-        verdicts.append(_tangent_section_is_cone(form, Divisor(p)))
+        verdicts.append(_tangent_section_is_cone(form, NullPoint(form, p)))
         assert verdicts[-1] == _cone_by_basis(form, p)
     assert 40 < sum(verdicts) < len(verdicts) - 40
 

@@ -269,6 +269,26 @@ def test_kernels_vs_ordered_sums_on_every_key_shape():
     assert seen == {0, 1, 2, 3}
 
 
+def test_incidence_and_support_pass_on_every_key_shape():
+    # incidence[c] lists each entry whose key holds c once, and the pass over
+    # the entries touching supp(x) gives cube(x) and T(p, x, x) exactly, at
+    # integer points x with one to all coordinates nonzero
+    rng = random.Random(14)
+    n = 4
+    for form in key_shape_forms(rng, n) + [random_form(rng, n, 5)]:
+        assert form.incidence == [
+            [pos for pos, (i, j, k, _) in enumerate(form.monomials) if c in (i, j, k)]
+            for c in range(n)
+        ]
+        for _ in range(3):
+            support = rng.sample(range(n), rng.randint(1, n))
+            x = tuple(rng.randint(1, 4) * rng.choice((-1, 1)) if i in support else 0 for i in range(n))
+            p = tuple(rng.randint(-4, 4) for _ in range(n))
+            assert form._cube_and_polar(p, x) == (
+                _brute_triple(form, x, x, x), _brute_triple(form, p, x, x)
+            )
+
+
 def test_numerical_dimension_on_cones_over_a_line():
     # l^3 has d_ijk = l_i l_j l_k, and 3 l^2 m gives
     # T(a, b, c) = l(a) l(b) m(c) + l(a) m(b) l(c) + m(a) l(b) l(c); at d with

@@ -5,13 +5,16 @@ value recorded when the pin was added.  A failing pin means the library's
 output changed; if the change is intended, the new digest goes in with it.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+from importlib import resources
 
 from nullcone.certify import certify
-from nullcone.cli import render_json
-from nullcone.cubicchase import ternary_singular_point
+from nullcone.cli import fixture_names, main, render_json
+from nullcone.cubicchase import chase, ternary_singular_point
 from nullcone.cubicfactor import factor_over_Q, factor_quadratic_form
 from nullcone.exactmath import Poly
 from nullcone.quadpoints import is_isotropic, isotropic_vector
@@ -21,6 +24,7 @@ from helpers import (
     annihilator_c2,
     plant_null_form,
     plant_reducible_form,
+    plant_sparse_form,
     random_linear_poly,
     random_quadric_poly,
     seeded_quadric_forms,
@@ -34,6 +38,7 @@ REDUCIBLE_CERTIFICATES_SHA256 = "edfafbac45f5a7be3882f03efcf23960d0acdaa591e29a7
 QUADRIC_LAYER_SHA256 = "75564ba6253315876bd7eaa71280e312b768b51994404d4c139c05728e0c9efa"
 QUADRIC_LAYER_RANK5_SHA256 = "fdb3ba5636c3ce42bcdf1ca7e2a56c2f80202778153d6f042929ae3c9bf46d9e"
 TERNARY_SINGULAR_POINTS_SHA256 = "04df0ba077d361f726f1df5405dc464ea22ecf97dfc6d99d7d39249e7d5353be"
+CHASE_TRACES_SHA256 = "24cbe35f5af22cd15d5b07102352d5cc8e0acee3c8a3dc008374bdbc0cf208ea"
 
 
 def _sha256(text: str) -> str:
@@ -139,3 +144,42 @@ def test_ternary_singular_points_pinned():
         point = ternary_singular_point(form)
         rows.append(None if point is None else [str(c) for c in point.coords])
     assert _sha256(json.dumps(rows)) == TERNARY_SINGULAR_POINTS_SHA256
+
+
+def _coords(divisor):
+    return [str(c) for c in divisor.coords]
+
+
+def test_chase_traces_pinned():
+    # two planted null forms per rank 4..10 and two rank-300 sparse forms
+    # (the first a budget stall, every direction at D on a line of the
+    # cubic), chased at three (depth, budget) settings; then the `chase`
+    # subcommand on every fixture at the defaults and at depth 5, budget 40
+    rng = random.Random(515)
+    cases = []
+    for n in range(4, 11):
+        for _ in range(2):
+            form, d = plant_null_form(rng, n, 4)
+            cases.append((form, annihilator_c2(rng, d, form.square_class(d).coords), d))
+    for seed in (1, 300_000):
+        sparse = random.Random(seed)
+        form, d = plant_sparse_form(sparse, 300)
+        cases.append((form, annihilator_c2(sparse, d, form.square_class(d).coords), d))
+    rows = []
+    for form, c2, d in cases:
+        for depth, budget in ((3, 500), (5, 40), (2, 7)):
+            trace = chase(form, c2, d, depth, budget)
+            rows.append([
+                [_coords(p) for p in trace.visited],
+                [[_coords(e.source), _coords(e.direction), _coords(e.target)] for e in trace.edges],
+                [[kind.value, _coords(p)] for kind, p in trace.degeneracies],
+                None if trace.witness is None else _coords(trace.witness),
+            ])
+    for name in sorted(fixture_names()):
+        path = str(resources.files("nullcone").joinpath("fixtures", f"{name}.json"))
+        for extra in ([], ["--depth", "5", "--budget", "40"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["chase", "--input", path, "--divisor", "D", *extra])
+            rows.append([name, extra, code, out.getvalue(), err.getvalue()])
+    assert _sha256(json.dumps(rows)) == CHASE_TRACES_SHA256
