@@ -27,9 +27,12 @@ from .exactmath import (
     height,
     integral_divide,
     iter_integer_vectors,
+    key_exponent,
+    key_support,
     primitive_part,
     rational_roots,
     spiral_key,
+    unit_keys,
 )
 from .nsring import IntersectionForm
 from .quadpoints import QuadraticForm
@@ -67,16 +70,9 @@ class Factorization:
 
 def expand_cubic(form: IntersectionForm) -> Poly:
     """The cubic polynomial T(x, x, x) of the trilinear form, expanded."""
-    n = form.rank
-    terms: dict[tuple[int, ...], int] = {}
-    for i, j, k, w in form.monomials:
-        e = [0] * n
-        e[i] += 1
-        e[j] += 1
-        e[k] += 1
-        terms[tuple(e)] = w
+    u = unit_keys(form.rank)
     # each monomial once, with a nonzero int coefficient
-    return Poly._of(n, terms)
+    return Poly._of(form.rank, {u[i] + u[j] + u[k]: w for i, j, k, w in form.monomials})
 
 
 def _divided(f: Poly, cand: tuple[int, ...]) -> tuple[tuple[int, ...], Poly] | None:
@@ -95,26 +91,27 @@ def _coordinate_sections(f: Poly, p: int, a: int, d: int):
     {p, a}, which every plane shares, plus the terms on {p, a, i} with x_i.
     """
     n = f.nvars
+    u = unit_keys(n)
     lines = {i: [0] * (d + 1) for i in range(n) if i != p and i != a}
     planes = {i: [0] * (d + 1) for i in lines}
     shared = [0] * (d + 1)
-    for e, c in f.terms.items():
-        ep, ea = e[p], e[a]
-        rest = d - ep - ea
-        if rest == 0:
+    # the key of x_i^k, for every i outside {p, a} and 0 < k <= d
+    powers = {k * u[i]: (i, k) for i in lines for k in range(1, d + 1)}
+    for key, c in f.packed.items():
+        ep, ea = key_exponent(key, n, p), key_exponent(key, n, a)
+        rest = key - ep * u[p] - ea * u[a]
+        if not rest:
             if not ea:
                 # the pure power x_p^d lies on every line
                 for coeffs in lines.values():
                     coeffs[0] += c
             shared[ep] += c
-        elif n - e.count(0) - (ep > 0) - (ea > 0) == 1:
+        elif rest in powers:
             # the rest of the degree sits on one variable i outside {p, a}
-            i = e.index(rest)
-            while i == p or i == a:
-                i = e.index(rest, i + 1)
+            i, k = powers[rest]
             planes[i][ep] += c
             if not ea:
-                lines[i][rest] += c
+                lines[i][k] += c
     for coeffs in planes.values():
         for m, c in enumerate(shared):
             coeffs[m] += c
@@ -148,11 +145,8 @@ def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[Rat, tuple[int, 
     # seldom has a root on that line, and d + 1 coefficient lookups decide it
     # before the pass over all of f
     a = 1 if p == 0 else 0
-    anchor_line = []
-    for k in range(d + 1):
-        e = [0] * n
-        e[p], e[a] = d - k, k
-        anchor_line.append(f.coeff(tuple(e)))
+    u = unit_keys(n)
+    anchor_line = [f.packed.get((d - k) * u[p] + k * u[a], 0) for k in range(d + 1)]
     anchor_roots = sorted(set(rational_roots(anchor_line)))
     if not anchor_roots:
         return None
@@ -193,19 +187,26 @@ def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[Rat, tuple[int, 
 
 def _find_linear_factor(f: Poly, seed: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
     """(c, l, q) with f = c l q for a canonical linear factor l of the nonzero
-    form f, l and q primitive integral forms; or None."""
+    form f, l and q primitive integral forms; or None.
+
+    With a pure power x_p^d in f the search runs on f's packed keys alone.
+    Without one, the shear below evaluates f and substitutes into it, which
+    decodes each of f's keys into its variables once per call."""
     n = f.nvars
-    # f is homogeneous, so any term gives its degree, and an exponent with an
-    # entry d is a pure power x_i^d
-    d = sum(next(iter(f.terms)))
-    pivots = sorted(e.index(d) for e in f.terms if d in e)
+    u = unit_keys(n)
+    d = f.degree()
+    # the pure power x_i^d has the key d u_i
+    pivots = [i for i in range(n) if d * u[i] in f.packed]
     if pivots:
         return _linear_factor_with_pivot(f, pivots[seed % len(pivots)], d)
     # no pure power: shear x_i -> x_i + c_i x_p for a point c with c_p = 1
     # and f(c) != 0, which is the x_p^d coefficient of the sheared form; the
     # shear is unimodular, so the primitive f shears to a primitive form
     content, f = primitive_part(f)
-    occupied = [i for i in range(n) if any(e[i] for e in f.terms)]
+    # a variable occurs in f exactly when its field is nonzero in the OR of
+    # all keys
+    joint = functools.reduce(operator.or_, f.packed)
+    occupied = [i for i in range(n) if key_exponent(joint, n, i)]
     p = occupied[seed % len(occupied)]
     for cvec in iter_integer_vectors(n - 1):
         point = cvec[:p] + (1,) + cvec[p:]
@@ -233,12 +234,13 @@ def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], int] | No
         return None
     _, l1, cof = found
     coords = [0] * q.nvars
-    for e, c in cof.terms.items():
-        coords[e.index(1)] = c
+    for key, c in cof.packed.items():
+        [(i, _)] = key_support(key, q.nvars)
+        coords[i] = c
     pair = sorted((l1, canonical_vector(coords)), key=lambda v: (height(v), spiral_key(v)))
     prod = Poly.linear(pair[0]) * Poly.linear(pair[1])
-    lead = max(prod.terms)
-    sign = q.coeff(lead) // prod.coeff(lead)
+    lead = max(prod.packed)
+    sign = q.packed.get(lead, 0) // prod.packed[lead]
     if sign * prod != q:
         raise AssertionError("quadric split failed verification")
     return pair[0], pair[1], sign
@@ -269,7 +271,7 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
         return Factorization(FactorKind.IRREDUCIBLE, 1, (), None)
     scalar, lin, prim = found
     # prim is primitive (Gauss's lemma): only its sign is left to normalize
-    if prim.terms[max(prim.terms)] < 0:
+    if prim.packed[max(prim.packed)] < 0:
         scalar, prim = -scalar, -prim
     split = _split_quadric(prim)
     if split is None:

@@ -7,7 +7,17 @@ constructors of `Poly`, divisor classes and quadratic forms apply it, so
 integral data is held, and computed on, as ints.  Each true division is
 `ratio(a, b)`, a ``Fraction`` only when fractional; ``/`` is never used, since
 on two ints it gives a float.  `cleared` alone clears denominators, and
-kernels are read off the integer `echelon` form.  Polynomial division runs in
+kernels are read off the integer `echelon` form.
+
+A `Poly` stores each monomial under one packed int key, the exponent of x_i
+in a 16-bit field with x_0 the most significant, so int order on keys is
+lex order on exponent tuples, a monomial product is a key sum and a
+divisibility test is one guard-bit test: each one int operation, where
+exponent tuples take O(rank) Python steps.  Every monomial has total degree
+below 2^15, which keeps each field's top bit clear.  `Poly.terms` is a
+read-only {exponent tuple: coefficient} view, decoded on access; library
+code reads keys through `unit_keys`, `key_exponent` and `key_support`, and
+the layout is known to this module alone.  Polynomial division runs in
 ints on primitive parts, the content taken once (Gauss's lemma).  The lattice
 enumerators share one lazy depth-first walk in (height, spiral-lex) order, on
 an explicit stack, whose cost grows with the vectors consumed, not the rank.
@@ -20,9 +30,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from operator import add, sub
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Rat = int | Fraction
 Vec = tuple[Rat, ...]
@@ -54,8 +64,16 @@ def ratio(a: Rat, b: Rat) -> Rat:
     return Fraction(a, b) if r else q
 
 
+# the type set of an all-int vector, tested at C level as
+# _INTS.issuperset(map(type, v)); a bool is not in it and goes through `frac`
+_INTS = frozenset((int,))
+
+
 def vec(values: Iterable) -> Vec:
-    return tuple(frac(v) for v in values)
+    """The values as a tuple of exact scalars; an all-int input comes back
+    as a tuple with no per-coordinate `frac` call."""
+    v = values if type(values) is tuple else tuple(values)
+    return v if _INTS.issuperset(map(type, v)) else tuple(frac(x) for x in v)
 
 
 def vec_dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
@@ -67,7 +85,7 @@ def vec_dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
 def cleared(v: Sequence[Rat]) -> tuple[tuple[int, ...], int]:
     """(d v, d) for the least d >= 1 with d v integral: the one place that
     clears denominators.  An all-int tuple comes back as itself, with d = 1."""
-    if all(type(x) is int for x in v):
+    if _INTS.issuperset(map(type, v)):
         return (v if type(v) is tuple else tuple(v)), 1
     d = math.lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (d // x.denominator) for x in v), d
@@ -76,39 +94,111 @@ def cleared(v: Sequence[Rat]) -> tuple[tuple[int, ...], int]:
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
+# A monomial x^e in n variables is one int key: e_i sits in the _W-bit field
+# at bit offset _W (n - 1 - i).  x_0 holds the most significant field, so
+# int order on keys is lex order on exponent tuples.  A stored monomial has
+# total degree below _LIMIT = 2^(_W - 1), so no field reaches its top (guard)
+# bit and the fields sum to less than 2^_W - 1.  Hence a product of
+# monomials is the sum of their keys, with no carry between fields; the
+# total degree is the key mod 2^_W - 1, since 2^_W = 1 there; and x^a
+# divides x^b exactly when ((b | G) - a) & G == G, G the guard bits, as each
+# field subtracts within its own guard bit.
+_W = 16
+_LIMIT = 1 << (_W - 1)
+_FIELD = (1 << _W) - 1
+
+
+def unit_keys(nvars: int) -> list[int]:
+    """The key of each variable x_i, in variable order: the key of x^e is
+    sum e_i unit_keys[i], and a product of monomials the sum of their keys."""
+    return [1 << s for s in range(_W * (nvars - 1), -1, -_W)]
+
+
+def key_exponent(key: int, nvars: int, i: int) -> int:
+    """The exponent of x_i in the monomial with this key."""
+    return key >> _W * (nvars - 1 - i) & _FIELD
+
+
+def key_support(key: int, nvars: int) -> list[tuple[int, int]]:
+    """(i, e_i) for each variable x_i in the monomial, ascending in i: one
+    step per variable present, not one per variable of the ring."""
+    out = []
+    while key:
+        s = (key.bit_length() - 1) // _W * _W
+        e = key >> s
+        key ^= e << s
+        out.append((nvars - 1 - s // _W, e))
+    return out
+
+
+def _key(expo: Exponent, nvars: int) -> int:
+    """The key of an exponent tuple, which must have nvars entries, each at
+    least 0, and a total degree below _LIMIT."""
+    if len(expo) != nvars:
+        raise ValueError(f"exponent {expo} has wrong arity for {nvars} variables")
+    if min(expo, default=0) < 0 or sum(expo) >= _LIMIT:
+        raise ValueError(f"exponent {expo} is not one of 0 <= e_i with sum e_i < {_LIMIT}")
+    key = 0
+    for k in expo:
+        key = key << _W | k
+    return key
+
+
+def _check_degree(d: int) -> None:
+    if d >= _LIMIT:
+        raise ValueError(f"degree {d} is at or past the limit {_LIMIT}")
+
 
 class Poly:
-    """Sparse multivariate polynomial: {exponent tuple: nonzero exact scalar}."""
+    """Sparse multivariate polynomial over Q in `nvars` variables.
 
-    __slots__ = ("nvars", "terms")
+    `packed` maps each monomial's int key (above: x_0 most significant, so
+    int order is lex order) to its nonzero exact scalar; the ring operations,
+    division and the cubic factor search work on it, one int operation per
+    monomial product, comparison or divisibility test.  `terms` is the same
+    polynomial as {exponent tuple: coefficient}, a read-only view decoded on
+    each access.  The constructor takes that tuple form.  Every exponent is
+    at least 0 and every monomial's total degree below 2^15: the constructor
+    raises ValueError outside that range, and so do `*` and `**` on a
+    product that would reach it.
+    """
 
-    def __init__(self, nvars: int, terms: dict[Exponent, Rat] | None = None):
+    __slots__ = ("nvars", "packed")
+
+    def __init__(self, nvars: int, terms: Mapping[Exponent, Rat] | None = None):
         self.nvars = nvars
-        clean: dict[Exponent, Rat] = {}
+        clean: dict[int, Rat] = {}
         if terms:
             for expo, coeff in terms.items():
                 c = frac(coeff)
-                if len(expo) != nvars:
-                    raise ValueError(f"exponent {expo} has wrong arity for {nvars} variables")
+                key = _key(expo, nvars)
                 if c != 0:
-                    clean[tuple(expo)] = c
-        self.terms = clean
+                    clean[key] = c
+        self.packed = clean
 
     @classmethod
-    def _of(cls, nvars: int, terms: dict[Exponent, Rat]) -> "Poly":
-        """A Poly over computed terms, zeros dropped, with no frac call on ints."""
+    def _of(cls, nvars: int, packed: dict[int, Rat]) -> "Poly":
+        """A Poly over computed packed terms, zeros dropped, with no frac call on ints."""
         p = cls.__new__(cls)
         p.nvars = nvars
-        p.terms = {e: c if type(c) is int else frac(c) for e, c in terms.items() if c}
+        p.packed = {k: c if type(c) is int else frac(c) for k, c in packed.items() if c}
         return p
+
+    @property
+    def terms(self) -> Mapping[Exponent, Rat]:
+        """The terms as {exponent tuple: coefficient}, decoded on each access."""
+        shifts = range(_W * (self.nvars - 1), -1, -_W)
+        return MappingProxyType(
+            {tuple(k >> s & _FIELD for s in shifts): c for k, c in self.packed.items()}
+        )
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
+        return cls._of(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: frac(c)})
+        return cls._of(nvars, {0: frac(c)})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
@@ -116,26 +206,18 @@ class Poly:
 
     @classmethod
     def linear(cls, coords: Sequence) -> "Poly":
-        n = len(coords)
-        terms = {}
-        for i, c in enumerate(coords):
-            e = [0] * n
-            e[i] = 1
-            terms[tuple(e)] = frac(c)
-        return cls(n, terms)
+        return cls._of(len(coords), dict(zip(unit_keys(len(coords)), map(frac, coords))))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((k % _FIELD for k in self.packed), default=-1)
 
     def is_homogeneous(self, d: int | None = None) -> bool:
-        degs = {sum(e) for e in self.terms}
+        degs = {k % _FIELD for k in self.packed}
         if not degs:
             return True
         if len(degs) > 1:
@@ -143,24 +225,28 @@ class Poly:
         return d is None or degs == {d}
 
     def coeff(self, expo: Exponent) -> Rat:
-        return self.terms.get(tuple(expo), 0)
+        try:
+            return self.packed.get(_key(expo, self.nvars), 0)
+        except ValueError:
+            # no stored monomial has such exponents
+            return 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+        return isinstance(other, Poly) and self.nvars == other.nvars and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self.packed.items())))
 
     def __neg__(self) -> "Poly":
-        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {k: -c for k, c in self.packed.items()})
 
     def __add__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(self.nvars, out)
+        out = dict(self.packed)
+        for k, c in other.packed.items():
+            out[k] = out.get(k, 0) + c
+        return Poly._of(self.nvars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -169,30 +255,38 @@ class Poly:
         if isinstance(other, Poly):
             if self.nvars != other.nvars:
                 raise ValueError("variable-count mismatch")
-            out: dict[Exponent, Rat] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, 0) + c1 * c2
+            _check_degree(self.degree() + other.degree())
+            out: dict[int, Rat] = {}
+            for k1, c1 in self.packed.items():
+                for k2, c2 in other.packed.items():
+                    k = k1 + k2
+                    out[k] = out.get(k, 0) + c1 * c2
             return Poly._of(self.nvars, out)
         s = frac(other)
-        return Poly._of(self.nvars, {e: c * s for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {k: c * s for k, c in self.packed.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
+        _check_degree(self.degree() * k)
         out = Poly.constant(self.nvars, 1)
         for _ in range(k):
             out = out * self
         return out
 
     def evaluate(self, point: Sequence) -> Rat:
-        if len(point) != self.nvars:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
+        n = self.nvars
+        if len(point) != n:
+            raise ValueError(f"point has {len(point)} coordinates, expected {n}")
         pt = vec(point)
-        return sum(c * math.prod(x**k for x, k in zip(pt, e) if k) for e, c in self.terms.items())
+        total = 0
+        for k, c in self.packed.items():
+            for i, e in key_support(k, n):
+                c *= pt[i] ** e
+            total += c
+        return total
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute x_i -> images[i] (all images share a variable count)."""
@@ -200,16 +294,16 @@ class Poly:
             raise ValueError("need one image per variable")
         m = images[0].nvars
         out = Poly.zero(m)
-        for e, c in self.terms.items():
+        for k, c in self.packed.items():
             term = Poly.constant(m, c)
-            for img, k in zip(images, e):
-                for _ in range(k):
-                    term = term * img
+            for i, e in key_support(k, self.nvars):
+                for _ in range(e):
+                    term = term * images[i]
             out = out + term
         return out
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "Poly(0)"
         bits = []
         for e, c in sorted(self.terms.items(), reverse=True):
@@ -223,30 +317,31 @@ class Poly:
 def primitive_part(p: Poly) -> tuple[Rat, Poly]:
     """(c, q) with p = c q, c > 0 and q integral and primitive; an integral p
     is not rescaled, and a primitive one comes back as itself."""
-    nums, den = cleared(list(p.terms.values()))
+    nums, den = cleared(list(p.packed.values()))
     g = math.gcd(*nums)
     if g == 1 and den == 1:
         return 1, p
-    return ratio(g, den), Poly._of(p.nvars, {e: c // g for e, c in zip(p.terms, nums)})
+    return ratio(g, den), Poly._of(p.nvars, {k: c // g for k, c in zip(p.packed, nums)})
 
 
 def integral_divide(f: Poly, g: Poly) -> Poly | None:
     """Exact quotient f/g of an integral f by a primitive integral g, or None.
 
-    Plain lex division in ints.  If g | f, each remainder's leading term is a
-    multiple of g's, by an integral coefficient (Gauss's lemma): one failed
-    step proves non-divisibility.  For the first log2(terms of f) steps the
-    leading term is `max(r)`, together about the cost of one sort, so a
-    division that fails early sorts nothing.  After that the remainder's
-    exponents are sorted once and kept sorted, the leading one last; an
-    exponent cancelled since is skipped."""
-    le_g = max(g.terms)
-    lc_g = g.terms[le_g]
-    g_tail = [(e, c) for e, c in g.terms.items() if e != le_g]
-    q: dict[Exponent, int] = {}
-    r = dict(f.terms)
+    Plain lex division in ints, on packed keys.  If g | f, each remainder's
+    leading term is a multiple of g's, by an integral coefficient (Gauss's
+    lemma): one failed step proves non-divisibility.  For the first
+    log2(terms of f) steps the leading term is `max(r)`, together about the
+    cost of one sort, so a division that fails early sorts nothing.  After
+    that the remainder's keys are sorted once and kept sorted, the leading
+    one last; a key cancelled since is skipped."""
+    guards = _LIMIT * (((1 << _W * f.nvars) - 1) // _FIELD)
+    le_g = max(g.packed)
+    lc_g = g.packed[le_g]
+    g_tail = [(k, c) for k, c in g.packed.items() if k != le_g]
+    q: dict[int, int] = {}
+    r = dict(f.packed)
     by_max = len(r).bit_length()
-    order: list[Exponent] | None = None
+    order: list[int] | None = None
     while r:
         if by_max:
             by_max -= 1
@@ -257,17 +352,17 @@ def integral_divide(f: Poly, g: Poly) -> Poly | None:
             le_r = order.pop()
             if le_r not in r:
                 continue
-        e = tuple(map(sub, le_r, le_g))
-        if min(e, default=0) < 0:
+        if ((le_r | guards) - le_g) & guards != guards:
             return None
+        e = le_r - le_g
         c, rem = divmod(r.pop(le_r), lc_g)
         if rem:
             return None
         q[e] = c
         # r -= c x^e g; its leading term cancels lc_r exactly, and every
         # term it adds lies below it
-        for eg, cg in g_tail:
-            m = tuple(map(add, e, eg))
+        for kg, cg in g_tail:
+            m = e + kg
             v = r.get(m, 0) - c * cg
             if not v:
                 del r[m]
@@ -321,7 +416,8 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n: Pollard's rho with Floyd's
+    cycle detection (x steps once, y twice), one gcd per step."""
     if n % 2 == 0:
         return 2
     for c in itertools.count(1):

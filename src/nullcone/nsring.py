@@ -30,7 +30,7 @@ class Divisor:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def primitive(self) -> "Divisor":
         return Divisor(primitive_vector(self.coords), self.name)
@@ -75,7 +75,7 @@ class LinearClass:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def pair(self, d: Divisor | Sequence) -> Rat:
         other = d.coords if isinstance(d, Divisor) else vec(d)

@@ -31,10 +31,12 @@ from .exactmath import (
     is_perfect_square,
     iter_primitive_vectors,
     kernel_basis,
+    key_support,
     mat_identity,
     mat_vec,
     primitive_vector,
     ratio,
+    unit_keys,
     vec,
     vec_dot,
 )
@@ -162,26 +164,24 @@ class QuadraticForm:
             raise ValueError("polynomial is not a homogeneous quadratic")
         n = p.nvars
         g = [[0] * n for _ in range(n)]
-        for e, c in p.terms.items():
-            i = e.index(max(e))
-            j = i if max(e) == 2 else e.index(1, i + 1)
+        for key, c in p.packed.items():
+            # x_i^2 has the one variable i, x_i x_j the two, i < j
+            support = key_support(key, n)
+            i, j = support[0][0], support[-1][0]
             # a half is a Fraction only for an odd cross coefficient
             half = c // 2 if c % 2 == 0 else Fraction(c, 2)
             g[i][j] = g[j][i] = c if i == j else half
         return cls(tuple(tuple(row) for row in g))
 
     def to_poly(self) -> Poly:
-        n, a = self.nvars, self.igram
-        terms: dict[tuple[int, ...], Rat] = {}
+        n, a, u = self.nvars, self.igram, unit_keys(self.nvars)
+        terms: dict[int, Rat] = {}
         for i in range(n):
             for j in range(i, n):
                 c = a[i][j] if i == j else 2 * a[i][j]
                 if c:
-                    e = [0] * n
-                    e[i] += 1
-                    e[j] += 1
-                    terms[tuple(e)] = ratio(c, self.den)
-        return Poly(n, terms)
+                    terms[u[i] + u[j]] = ratio(c, self.den)
+        return Poly._of(n, terms)
 
     def evaluate(self, v: Sequence) -> Rat:
         x, d = cleared(vec(v))

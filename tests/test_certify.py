@@ -31,7 +31,8 @@ from nullcone.certify import (
 )
 from nullcone.cli import fixture_names, load_fixture, parse_input
 from nullcone.cubicchase import Degeneracy, NullPoint, _tangent_section_is_cone, chase
-from nullcone.exactmath import Poly, canonical_vector
+from nullcone.cubicfactor import expand_cubic
+from nullcone.exactmath import Poly, canonical_vector, unit_keys
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
 from nullcone.quadpoints import QuadraticForm
 
@@ -40,6 +41,7 @@ from helpers import (
     divisor_coords,
     form_of_cubic,
     plant_null_form,
+    plant_reducible_form,
     plant_sparse_form,
 )
 
@@ -311,6 +313,36 @@ def test_rank20_planted_null_form_certifies_under_a_second():
     assert cert.rule == RULE_MAIN_IRREDUCIBLE
     assert replay(form, c2, cert)
     assert elapsed < 1.0, f"rank-20 certify took {elapsed:.2f} s"
+
+
+def test_certify_and_replay_decode_no_monomial_keys(monkeypatch):
+    # every cubic below has a pure power x_p^3, so the factor search runs on
+    # the packed monomial keys alone: the tuple view Poly.terms is never
+    # built (only the shear path, for a cubic with no pure power, decodes)
+    rng = random.Random(16)
+    cases = []
+    for n in (4, 5, 6, 7):
+        for form, d in (plant_reducible_form(rng, n), plant_null_form(rng, n, 4)):
+            cases.append((form, annihilator_c2(rng, d, form.square_class(d).coords), d))
+    big = random.Random(1_000_000)
+    form, d = plant_sparse_form(big, 1000)
+    # c2 = sum_j r_j (d_j e_0 - e_j) with d_0 = 1 annihilates d, built in O(rank)
+    r = [big.randint(-1, 1) for _ in d[1:]]
+    cases.append((form, LinearClass([sum(map(int.__mul__, r, d[1:]))] + [-x for x in r]), d))
+    for form, _, _ in cases:
+        cubic = expand_cubic(form)
+        assert any(3 * u in cubic.packed for u in unit_keys(form.rank))
+
+    def no_terms(self):
+        raise AssertionError("Poly.terms decoded on a hot path")
+
+    monkeypatch.setattr(Poly, "terms", property(no_terms))
+    rules = set()
+    for form, c2, d in cases:
+        cert = certify(form, c2, d)
+        assert replay(form, c2, cert)
+        rules.add(cert.rule)
+    assert {RULE_MAIN_REDUCIBLE, RULE_MAIN_IRREDUCIBLE} <= rules
 
 
 def test_sparse_rank200_certify_and_replay_under_a_second():

@@ -14,11 +14,14 @@ from nullcone.exactmath import (
     Poly,
     _reach,
     canonical_vector,
+    cleared,
     exact_divide,
     frac,
     height,
     is_perfect_square,
     iter_integer_vectors,
+    key_exponent,
+    key_support,
     iter_kernel_primitives,
     iter_primitive_vectors,
     kernel_basis,
@@ -26,6 +29,8 @@ from nullcone.exactmath import (
     rational_roots,
     rref,
     spiral_key,
+    unit_keys,
+    vec,
     vec_dot,
 )
 
@@ -61,6 +66,19 @@ def test_frac_is_int_unless_fractional():
     assert [type(c) for c in Poly.linear([Fraction(2), 4]).terms.values()] == [int, int]
 
 
+def test_vec_passes_int_tuples_through_and_converts_the_rest():
+    v = (3, -1, 0)
+    assert vec(v) is v
+    assert vec([3, -1, 0]) == v and type(vec([3, -1, 0])) is tuple
+    # a bool is an int subclass, yet still goes through frac
+    assert [str(x) for x in vec((True, 2))] == ["1", "2"]
+    got = vec((True, 2, Fraction(4, 2), "1/2"))
+    assert got == (1, 2, 2, Fraction(1, 2)) and [type(x) for x in got] == [int, int, int, Fraction]
+    assert str(got[0]) == "1"
+    assert cleared(v) == (v, 1) and cleared(v)[0] is v
+    assert cleared((Fraction(1, 2), 1)) == ((1, 2), 2)
+
+
 def test_vec_dot():
     assert vec_dot((1, 2, 3), (4, -5, 6)) == 12
 
@@ -87,6 +105,79 @@ def test_poly_linear_and_coeff():
     assert l.coeff((0, 0, 1)) == 0
 
 
+# the bound on a monomial's total degree, so on each exponent
+LIMIT = 2**15
+
+
+def _random_exponent(rng, n: int, cap: int) -> tuple[int, ...]:
+    """An exponent tuple of total degree at most cap: up to six units spread
+    over the variables, and one time in three all but a few units of what is
+    left of cap on one of them."""
+    e = [0] * n
+    for _ in range(rng.randint(0, min(cap, 6))):
+        e[rng.randrange(n)] += 1
+    if rng.random() < 1 / 3:
+        room = cap - sum(e)
+        e[rng.randrange(n)] += room - rng.randint(0, min(3, room))
+    return tuple(e)
+
+
+def _random_poly(rng, n: int, cap: int, size: int) -> dict:
+    """A random tuple-keyed polynomial, not homogeneous in general, with
+    nonzero int and Fraction coefficients and total degree at most cap."""
+    out = {}
+    for _ in range(size):
+        c = rng.choice((1, -1)) * Fraction(rng.randint(1, 9), rng.choice((1, 1, 2, 3)))
+        out[_random_exponent(rng, n, cap)] = c
+    return out
+
+
+# tuple-keyed reference arithmetic: the exponent format the packed keys replace
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_divide(f: dict, g: dict) -> dict | None:
+    """Lex division of f by g on exponent tuples in Fractions: the quotient
+    when g divides f, else None.  Degree and order in each variable add
+    under multiplication, so if g | f every quotient exponent e has
+    lo_i <= e_i <= hi_i, lo_i the least x_i exponent of f less g's and hi_i
+    the greatest less g's; a quotient term outside that box proves g does
+    not divide f, and the division stops after at most the box's size steps."""
+    lo = [min(col) - min(colg) for col, colg in zip(zip(*f), zip(*g))]
+    hi = [max(col) - max(colg) for col, colg in zip(zip(*f), zip(*g))]
+    le_g = max(g)
+    q, r = {}, dict(f)
+    while r:
+        le_r = max(r)
+        e = tuple(x - y for x, y in zip(le_r, le_g))
+        if any(not a <= x <= b for a, x, b in zip(lo, e, hi)):
+            return None
+        c = Fraction(r.pop(le_r)) / g[le_g]
+        q[e] = c
+        for eg, cg in g.items():
+            if eg != le_g:
+                m = tuple(x + y for x, y in zip(e, eg))
+                r[m] = r.get(m, 0) - c * cg
+                if not r[m]:
+                    del r[m]
+    return q
+
+
 def test_poly_arith_ring_axioms_random():
     rng = random.Random(11)
     for _ in range(25):
@@ -98,6 +189,22 @@ def test_poly_arith_ring_axioms_random():
         assert a * b == b * a
         assert (a - a).is_zero
         assert (a * b) * c == a * (b * c)
+    # non-homogeneous polynomials at ranks 1-12, with exponents near the
+    # limit, against the tuple-keyed reference; each factor's degree is at
+    # most a third of the limit, so every product below stays under it
+    cap = (LIMIT - 1) // 3
+    for trial in range(60):
+        n = trial % 12 + 1
+        ta, tb, tc = (_random_poly(rng, n, cap, rng.randint(1, 5)) for _ in range(3))
+        a, b, c = Poly(n, ta), Poly(n, tb), Poly(n, tc)
+        assert dict((a + b).terms) == _ref_add(ta, tb)
+        assert dict((a * b).terms) == _ref_mul(ta, tb)
+        assert dict((-a).terms) == {e: -x for e, x in ta.items()}
+        assert dict((a * b * c).terms) == _ref_mul(_ref_mul(ta, tb), tc)
+        assert a * (b + c) == a * b + a * c
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert (a * b) * c == a * (b * c)
+        assert (a - a).is_zero
 
 
 def test_poly_pow():
@@ -124,6 +231,70 @@ def test_exact_divide_roundtrip_random():
         g = random_quadric_poly(rng, n, 5)
         q = exact_divide(f * g, f)
         assert q is not None and q == g
+    # non-homogeneous quotients and divisors at ranks 1-12: f g divides by
+    # g; f g plus a term, or f by g, mostly does not, and exactly when the
+    # tuple-keyed lex division says so.  f and g are small polynomials times
+    # a monomial holding nearly half the limit, so the exponents come near
+    # it while the reference's box stays small
+    failed = 0
+    for trial in range(60):
+        n = trial % 12 + 1
+        tall = []
+        for _ in range(2):
+            e = [0] * n
+            e[rng.randrange(n)] = LIMIT // 2 - rng.randint(10, 20)
+            tall.append({tuple(e): 1})
+        tf = _ref_mul(_random_poly(rng, n, 6, 4), tall[0])
+        tg = _ref_mul(_random_poly(rng, n, 6, 3), tall[1])
+        f, g = Poly(n, tf), Poly(n, tg)
+        assert exact_divide(f * g, g) == f
+        term = _ref_mul(_random_poly(rng, n, 6, 1), _ref_mul(tall[0], tall[1]))
+        for num in (_ref_add(_ref_mul(tf, tg), term), tf):
+            want = _ref_divide(num, tg)
+            got = exact_divide(Poly(n, num), g)
+            assert (got is None) == (want is None)
+            assert got is None or dict(got.terms) == {e: frac(c) for e, c in want.items()}
+            failed += got is None
+    assert failed >= 60
+
+
+def test_packed_keys_follow_the_exponent_tuples():
+    rng = random.Random(12)
+    for trial in range(60):
+        n = trial % 12 + 1
+        expos = list({_random_exponent(rng, n, LIMIT - 1) for _ in range(8)})
+        keys = [next(iter(Poly(n, {e: 1}).packed)) for e in expos]
+        # key order is lex order on the tuples
+        assert [expos[i] for i in sorted(range(len(keys)), key=keys.__getitem__)] == sorted(expos)
+        units = unit_keys(n)
+        for e, k in zip(expos, keys):
+            assert k == sum(x * u for x, u in zip(e, units))
+            assert [key_exponent(k, n, i) for i in range(n)] == list(e)
+            assert key_support(k, n) == [(i, x) for i, x in enumerate(e) if x]
+        p = Poly(n, {e: rng.choice((1, -2, Fraction(1, 3))) for e in expos})
+        assert p.degree() == max(map(sum, expos))
+        assert p.is_homogeneous() == (len(set(map(sum, expos))) == 1)
+        assert p.is_homogeneous(sum(expos[0])) == (set(map(sum, expos)) == {sum(expos[0])})
+        assert dict(p.terms) == {e: p.coeff(e) for e in expos}
+    assert Poly.zero(3).degree() == -1 and Poly.zero(3).is_homogeneous(2)
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    top = Poly(2, {(LIMIT - 1, 0): 1})
+    assert top == Poly(2, {(LIMIT // 2, 0): 1}) * Poly(2, {(LIMIT // 2 - 1, 0): 1})
+    assert top.degree() == LIMIT - 1
+    assert top.coeff((-1, 0)) == 0 and top.coeff((LIMIT, 0)) == 0
+    with pytest.raises(TypeError):
+        top.terms[(0, 0)] = 1
+    for bad in [(-1, 0), (0, LIMIT), (LIMIT - 1, 1)]:
+        with pytest.raises(ValueError):
+            Poly(2, {bad: 1})
+    with pytest.raises(ValueError):
+        top * x1
+    with pytest.raises(ValueError):
+        x0 ** LIMIT
+    with pytest.raises(ValueError):
+        Poly(2, {(0, LIMIT // 2): 1}) ** 2
+    with pytest.raises(ValueError):
+        (x0 + x1) ** 2 * Poly(2, {(LIMIT - 2, 0): 1})
 
 
 def test_exact_divide_detects_nondivisor():
