@@ -127,15 +127,75 @@ def _vanishes_at(coeffs: list[Rat], s: Rat) -> bool:
     return sum(c * num**m * den ** (d - m) for m, c in enumerate(coeffs) if c) == 0
 
 
+def _tangent_hyperplane(f: Poly, p: int, a: int, d: int, t: Rat) -> tuple[int, ...]:
+    """The canonical gradient of the form f of degree d at P = num e_p + den e_a,
+    t = num / den, in ints for an integral f.
+
+    Only x_p and x_a are nonzero at P, so d_i f(P) comes from the monomials
+    x_p^k x_a^(d-1-k) x_i alone: d lookups per coordinate and no pass over f.
+    """
+    n = f.nvars
+    u = unit_keys(n)
+    num, den = t.numerator, t.denominator
+    grad = [0] * n
+    for k in range(d):
+        base = k * u[p] + (d - 1 - k) * u[a]
+        w = num**k * den ** (d - 1 - k)
+        for i in range(n):
+            c = f.packed.get(base + u[i])
+            if c:
+                # d/dx_p and d/dx_a also bring down the exponent they lower
+                grad[i] += c * w * (k + 1 if i == p else d - k if i == a else 1)
+    return canonical_vector(grad)
+
+
+def _section_search(
+    f: Poly, p: int, a: int, t1: Rat, root_sets: list[tuple[int, list[Rat]]], planes: dict[int, list[int]]
+) -> tuple[tuple[int, ...], Poly] | None:
+    """(l, f / l) for a factor l = x_p - t1 x_a - sum t_i x_i of the primitive
+    integral f, each t_i a root on the coordinate line of x_p and x_i; or None.
+
+    Only the roots consistent with the anchor on the common three-variable
+    section (x_p = t1 + t, x_a = x_i = 1) are combined: a divisor's
+    coordinates always survive, and the combination count collapses from
+    exponential to (usually) one.
+    """
+    filtered: list[list[Rat]] = []
+    for i, roots in root_sets:
+        compatible = [t for t in roots if _vanishes_at(planes[i], t1 + t)]
+        if not compatible:
+            return None
+        filtered.append(compatible)
+    for combo in itertools.product(*filtered):
+        coords = [0] * f.nvars
+        coords[p] = 1
+        coords[a] = -t1
+        for (i, _), t in zip(root_sets, combo):
+            coords[i] = -t
+        found = _divided(f, canonical_vector(coords))
+        if found is not None:
+            return found
+    return None
+
+
 def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
     """(c, l, q) with f = c l q, l a linear factor with a nonzero x_p
     coefficient and l, q primitive integral forms; or None.
 
-    f is a form of degree d with a nonzero x_p^d coefficient.  On the
-    coordinate line of x_p and x_i a factor x_p + b x_i + ... restricts to
-    x_p + b x_i, so -b is a rational root of sum_k c_k t^(d-k), c_k the
-    coefficient of x_p^(d-k) x_i^k.  No root depends on the content c of f,
-    so c is taken only once the anchor line has a root.
+    f is a form of degree d with a nonzero x_p^d coefficient, so every linear
+    factor l has l_p != 0 and meets the anchor line x_p, x_a (a != p) at one
+    point P = num e_p + den e_a, t1 = num / den a root of the anchor
+    polynomial h(s) = f(s e_p + e_a).  If f = l r:
+    - at a simple root t1, d_p f(P) = den^(d-1) h'(t1) != 0, so P is a smooth
+      point, r(P) != 0 and grad f(P) = r(P) grad l: the tangent hyperplane at
+      P is the only candidate;
+    - r(P) = 0 makes t1 a multiple root of h, and only there does the search
+      read candidate coefficients off the rational roots on every coordinate
+      line of x_p and x_i (a factor x_p + b x_i + ... restricts to x_p + b
+      x_i there, so -b is a root of sum_k c_k t^(d-k), c_k the coefficient of
+      x_p^(d-k) x_i^k).
+    No root depends on the content c of f, so c is taken only once the anchor
+    line has a root.
     """
     n = f.nvars
     if n == 1:
@@ -143,58 +203,48 @@ def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[Rat, tuple[int, 
         return (content, *_divided(f, (1,)))
     # anchor on the first variable a other than p: an irreducible form
     # seldom has a root on that line, and d + 1 coefficient lookups decide it
-    # before the pass over all of f
+    # before any pass over f
     a = 1 if p == 0 else 0
     u = unit_keys(n)
     anchor_line = [f.packed.get((d - k) * u[p] + k * u[a], 0) for k in range(d + 1)]
-    anchor_roots = sorted(set(rational_roots(anchor_line)))
+    anchor_roots = rational_roots(anchor_line)
     if not anchor_roots:
         return None
     content, f = primitive_part(f)
-    lines, planes = _coordinate_sections(f, p, a, d)
-    root_sets: list[tuple[int, list[Rat]]] = []
-    for i, coeffs in lines.items():
-        roots = sorted(set(rational_roots(coeffs)))
-        if not roots:
-            return None
-        root_sets.append((i, roots))
-    # keep, for every other variable, only the roots consistent with the
-    # anchor on the common three-variable section (x_p = t1 + t,
-    # x_a = x_i = 1); a divisor's coordinates always survive, and the
-    # combination count collapses from exponential to (usually) one per anchor
-    for t1 in anchor_roots:
-        filtered: list[tuple[int, list[Rat]]] = []
-        feasible = True
-        for i, roots in root_sets:
-            compatible = [t for t in roots if _vanishes_at(planes[i], t1 + t)]
-            if not compatible:
-                feasible = False
-                break
-            filtered.append((i, compatible))
-        if not feasible:
-            continue
-        for combo in itertools.product(*(roots for _, roots in filtered)):
-            coords = [0] * n
-            coords[p] = 1
-            coords[a] = -t1
-            for (i, _), t in zip(filtered, combo):
-                coords[i] = -t
-            found = _divided(f, canonical_vector(coords))
-            if found is not None:
-                return (content, *found)
+    root_sets = planes = None
+    for t1 in sorted(set(anchor_roots)):
+        if anchor_roots.count(t1) == 1:
+            found = _divided(f, _tangent_hyperplane(f, p, a, d, t1))
+        else:
+            if root_sets is None:
+                # built once, at the first multiple root; a line with no
+                # root rules out every linear factor
+                lines, planes = _coordinate_sections(f, p, a, d)
+                root_sets = []
+                for i, coeffs in lines.items():
+                    roots = sorted(set(rational_roots(coeffs)))
+                    if not roots:
+                        return None
+                    root_sets.append((i, roots))
+            found = _section_search(f, p, a, t1, root_sets, planes)
+        if found is not None:
+            return (content, *found)
     return None
 
 
-def _find_linear_factor(f: Poly, seed: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
+def _find_linear_factor(f: Poly, d: int, seed: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
     """(c, l, q) with f = c l q for a canonical linear factor l of the nonzero
-    form f, l and q primitive integral forms; or None.
+    form f of degree d, l and q primitive integral forms; or None.
 
-    With a pure power x_p^d in f the search runs on f's packed keys alone.
-    Without one, the shear below evaluates f and substitutes into it, which
-    decodes each of f's keys into its variables once per call."""
+    None is a proof: a simple anchor root carries no factor but its tangent
+    hyperplane (smooth point, grad f = r grad l), and a multiple one is
+    searched on every coordinate line, so each linear factor is tried at the
+    root where it meets the anchor line.  With a pure power x_p^d in f the
+    search runs on f's packed keys alone.  Without one, the shear below
+    evaluates f and substitutes into it, which decodes each of f's keys into
+    its variables once per call."""
     n = f.nvars
     u = unit_keys(n)
-    d = f.degree()
     # the pure power x_i^d has the key d u_i
     pivots = [i for i in range(n) if d * u[i] in f.packed]
     if pivots:
@@ -229,7 +279,7 @@ def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], int] | No
     """(l1, l2, sign) with q = sign * l1 * l2 for a primitive integral
     quadratic form q (l1 l2 is primitive too), the l_i canonical and
     (height, spiral)-sorted, or None when q is irreducible over Q."""
-    found = _find_linear_factor(q, 0)
+    found = _find_linear_factor(q, 2, 0)
     if found is None:
         return None
     _, l1, cof = found
@@ -266,7 +316,7 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
         raise ValueError("cannot factor the zero cubic")
     if not f.is_homogeneous(3):
         raise ValueError("input must be a homogeneous cubic")
-    found = _find_linear_factor(f, seed)
+    found = _find_linear_factor(f, 3, seed)
     if found is None:
         return Factorization(FactorKind.IRREDUCIBLE, 1, (), None)
     scalar, lin, prim = found

@@ -31,8 +31,9 @@ from nullcone.certify import (
 )
 from nullcone.cli import fixture_names, load_fixture, parse_input
 from nullcone.cubicchase import Degeneracy, NullPoint, _tangent_section_is_cone, chase
+from nullcone import cubicfactor, exactmath, quadpoints
 from nullcone.cubicfactor import expand_cubic
-from nullcone.exactmath import Poly, canonical_vector, unit_keys
+from nullcone.exactmath import Poly, canonical_vector, is_probable_prime, rational_roots, unit_keys
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass
 from nullcone.quadpoints import QuadraticForm
 
@@ -343,6 +344,69 @@ def test_certify_and_replay_decode_no_monomial_keys(monkeypatch):
         assert replay(form, c2, cert)
         rules.add(cert.rule)
     assert {RULE_MAIN_REDUCIBLE, RULE_MAIN_IRREDUCIBLE} <= rules
+
+
+def test_planted_reducible_factor_search_stays_on_the_tangent_hyperplane(monkeypatch):
+    # a simple root of the anchor line is decided by the tangent hyperplane
+    # there, so the coordinate-line search runs only at a multiple root, and
+    # on a planted 6 L Q cubic that is rare
+    sections = []
+    real_sections = cubicfactor._coordinate_sections
+
+    def spy(f, p, a, d):
+        anchor = []
+        for k in range(d + 1):
+            e = [0] * f.nvars
+            e[p], e[a] = d - k, k
+            anchor.append(f.coeff(tuple(e)))
+        roots = rational_roots(anchor)
+        assert len(set(roots)) < len(roots), "section search at a simple anchor root"
+        sections.append(f)
+        return real_sections(f, p, a, d)
+
+    monkeypatch.setattr(cubicfactor, "_coordinate_sections", spy)
+    rng = random.Random(17)
+    searched = total = 0
+    for n in (4, 5, 6, 7, 8):
+        for _ in range(20):
+            form, d = plant_reducible_form(rng, n)
+            c2 = annihilator_c2(rng, d, form.square_class(d).coords)
+            before = len(sections)
+            cert = certify(form, c2, d)
+            assert replay(form, c2, cert)
+            # rank 4 takes the rank-4 criterion, which needs an irreducible cubic
+            assert cert.rule == (RULE_MAIN_REDUCIBLE if n >= 5 else RULE_NONE)
+            searched += len(sections) > before
+            total += 1
+    assert searched < 0.05 * total, f"section search on {searched} of {total} inputs"
+
+
+def test_semiprime_pure_powers_factor_only_the_anchor_line(monkeypatch):
+    # four pure-power coefficients p q with 30-bit primes, and d_011 putting
+    # D = (1, -1, 0, 0) on the cubic: the anchor line's root -1 is simple, so
+    # only the anchor line's two end coefficients are factored, once in
+    # certify and once in replay
+    primes = [m for m in range((1 << 30) + 1, (1 << 30) + 2000, 2) if is_probable_prime(m)]
+    pure = [primes[2 * i] * primes[2 * i + 1] for i in range(4)]
+    # cube(D) = d_000 - d_111 + 3 d_011, so d_111 = d_000 mod 3
+    pure[1] = next(primes[2] * q for q in primes[3:] if (primes[2] * q - pure[0]) % 3 == 0)
+    entries = {(i, i, i): v for i, v in enumerate(pure)}
+    entries[(0, 1, 1)] = (pure[1] - pure[0]) // 3
+    form = IntersectionForm(4, entries)
+    c2, d = LinearClass((1, 1, 0, 0)), (1, -1, 0, 0)
+    calls = []
+    real_factorint = exactmath.factorint
+
+    def counted(n):
+        calls.append(n)
+        return real_factorint(n)
+
+    monkeypatch.setattr(exactmath, "factorint", counted)
+    monkeypatch.setattr(quadpoints, "factorint", counted)
+    cert = certify(form, c2, d)
+    assert cert.rule == RULE_B4
+    assert replay(form, c2, cert)
+    assert len(calls) <= 4, f"factorint called {len(calls)} times"
 
 
 def test_sparse_rank200_certify_and_replay_under_a_second():

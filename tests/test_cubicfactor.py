@@ -1,7 +1,9 @@
 """Cubic factorization over the rationals."""
 
 from fractions import Fraction
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -192,7 +194,19 @@ def test_factor_seed_invariant_result():
     assert binary.linears == ((0, 1), (1, 0), (1, -1)) and binary.scalar == 1
 
 
-def test_factor_random_products_roundtrip():
+def _x0_linear(rng, n: int, point=None) -> tuple[int, ...]:
+    """A random integer linear form with a nonzero x0 coefficient, vanishing
+    at the point num e_0 + den e_1 when point = (num, den) is given."""
+    while True:
+        v = list(nonzero_vector(rng, n, 3))
+        if point is not None:
+            c = rng.choice((-2, -1, 1, 2))
+            v[0], v[1] = c * point[1], -c * point[0]
+        if v[0]:
+            return tuple(v)
+
+
+def test_factor_random_products_roundtrip(monkeypatch):
     rng = random.Random(43)
     for _ in range(30):
         n = rng.randint(3, 5)
@@ -207,6 +221,52 @@ def test_factor_random_products_roundtrip():
         r = factor_over_Q(f)
         assert r.kind is not FactorKind.IRREDUCIBLE
         assert r.reconstruct(n) == f
+    # multiple roots on the anchor line x0, x1 (x0^3 is the pivot at seed 0):
+    # a factor through a singular point of f, found by the coordinate-line
+    # search and never by the tangent hyperplane there
+    sections = []
+    real_sections = cubicfactor._coordinate_sections
+
+    def spy(*args):
+        sections.append(args)
+        return real_sections(*args)
+
+    monkeypatch.setattr(cubicfactor, "_coordinate_sections", spy)
+
+    def ordered(*vs):
+        return tuple(sorted(vs, key=lambda v: (height(v), spiral_key(v))))
+
+    rounds = 0
+    while rounds < 8:
+        n = rng.randint(3, 5)
+        l, m = (canonical_vector(_x0_linear(rng, n)) for _ in range(2))
+        if l == m:
+            continue
+        L, M = Poly.linear(l), Poly.linear(m)
+        # a quadric through L's anchor point P: L M vanishes there, and so
+        # does x2, which is 0 on the anchor line
+        quadric = L * M + Poly.variable(n, 2) * random_linear_poly(rng, n, 3)
+        point = (rng.randint(-3, 3), rng.randint(1, 3))
+        concurrent = [canonical_vector(_x0_linear(rng, n, point)) for _ in range(3)]
+        if len(set(concurrent)) < 3:
+            continue
+        cases = [
+            (L * L * M, FactorKind.LINEAR_SQUARE_TIMES_LINEAR, (l, l, m)),
+            (3 * L * L * L, FactorKind.LINEAR_CUBE, (l, l, l)),
+            (L * quadric, FactorKind.LINEAR_TIMES_QUADRIC, (l,)),
+            (
+                functools.reduce(operator.mul, map(Poly.linear, concurrent)),
+                FactorKind.THREE_LINEAR,
+                ordered(*concurrent),
+            ),
+        ]
+        for f, kind, linears in cases:
+            before = len(sections)
+            r = factor_over_Q(f)
+            assert (r.kind, r.linears) == (kind, linears)
+            assert r.reconstruct(n) == f
+            assert len(sections) > before, "no section search at a multiple anchor root"
+        rounds += 1
 
 
 def _random_form_poly(rng, n: int, d: int) -> Poly:
