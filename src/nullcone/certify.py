@@ -8,12 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 
 from .cubicchase import (
     NullPoint,
+    _residual,
     chase,
     inflection_test,
-    residual_on_tangent,
+    tangent_data,
     ternary_singular_point,
 )
 from .cubicfactor import FactorKind, expand_cubic, factor_over_Q
@@ -26,6 +28,7 @@ from .exactmath import (
     iter_kernel_primitives,
     iter_primitive_vectors,
     primitive_vector,
+    ratio,
     spiral_key,
     vec_dot,
 )
@@ -123,6 +126,9 @@ class _Pipeline:
         self.warnings: list[str] = []
         self.caveats: list[str] = [CAVEAT_ASSUMED]
         self.witnesses: dict[str, Divisor] = {"D": self.d}
+        # D's (divisor, x, den, s) from `tangent_data`: one pass gives cube(D),
+        # nu(D) and, where a rule walks tangent lines at D, its `NullPoint`
+        self.tangent = None
         if self.h is not None:
             self.witnesses["H"] = self.h
 
@@ -153,10 +159,13 @@ class _Pipeline:
         self.warnings.extend(
             validate_input(form, c2, nef=[d], ample=[self.h] if self.h is not None else [])
         )
-        cube_d = self.check("cube(D)", "cube", form.cube(d), d.coords)
+        self.tangent = tangent_data(form, d, "D")
+        _, x, den, s = self.tangent
+        # cube(D) = T(x, x, x) / den^3 = s . x / den^3
+        cube_d = self.check("cube(D)", "cube", ratio(sum(map(mul, s, x)), den ** 3), d.coords)
         if cube_d != 0:
             return self.finish(Conclusion.CERTIFIED, RULE_NEFPSEF)
-        nu = form.numerical_dimension(d)
+        nu = form._nu(x, s)
         self.check("nu(D)", "nu", nu, d.coords)
         if nu == 0:
             self.warnings.append(
@@ -192,13 +201,14 @@ class _Pipeline:
         return fac
 
     def _chase_witness(self) -> Divisor | None:
-        trace = chase(self.form, self.c2, self.d, self.opts.depth, self.opts.budget)
+        start = NullPoint.from_tangent(self.tangent, "D")
+        trace = chase(self.form, self.c2, start, self.opts.depth, self.opts.budget)
         if trace.witness is not None:
             self.witnesses["E"] = trace.witness
             self.check(
                 "c2(E)", "c2", self.c2.pair(trace.witness), trace.witness.coords
             )
-            self.check("cube(E)", "cube", self.form.cube(trace.witness), trace.witness.coords)
+            self.check("cube(E)", "cube", trace.witness_cube, trace.witness.coords)
         return trace.witness
 
     def rule_high_rank(self) -> Certificate:
@@ -292,12 +302,15 @@ class _Pipeline:
                 if examined >= self.opts.budget:
                     break
                 examined += 1
-                e = residual_on_tangent(form, point, Divisor(x))
-                if e is None or canonical_vector(e.coords) == point.key:
+                found = _residual(form, point, Divisor(x))
+                if found is None:
+                    continue
+                e, cube_e = found
+                if canonical_vector(e.coords) == point.key:
                     continue
                 if c2.pair(e) != 0:
                     self.witnesses["E"] = e
-                    self.check("cube(E)", "cube", form.cube(e), e.coords)
+                    self.check("cube(E)", "cube", cube_e, e.coords)
                     self.check("c2(E)", "c2", c2.pair(e), e.coords)
                     return self.finish(Conclusion.CERTIFIED, RULE_B3)
             self.warnings.append(
@@ -307,17 +320,17 @@ class _Pipeline:
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         # smooth cubic: walk to the residual of the tangent line at D; nu(D) = 2,
         # so the tangent plane is a rank-2 lattice with directions besides D
-        sq = form.square_class(d)
-        d_key = canonical_vector(d.coords)
-        direction = next(x for x in iter_kernel_primitives([list(sq.coords)]) if x != d_key)
-        e = residual_on_tangent(form, d, Divisor(direction))
-        if e is None:
+        point = NullPoint.from_tangent(self.tangent, "D")
+        direction = next(x for x in iter_kernel_primitives([point.s]) if x != point.key)
+        found = _residual(form, point, Divisor(direction))
+        if found is None:
             self.warnings.append(
                 "the tangent line at D lies on the cubic, contradicting "
                 "irreducibility; treating as inconclusive"
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-        if canonical_vector(e.coords) == d_key:
+        e, cube_e = found
+        if canonical_vector(e.coords) == point.key:
             self.check(
                 "T(D,x,x)", "triple", form.triple(d, direction, direction),
                 d.coords, direction, direction,
@@ -328,7 +341,7 @@ class _Pipeline:
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         self.witnesses["E"] = e
-        self.check("cube(E)", "cube", form.cube(e), e.coords)
+        self.check("cube(E)", "cube", cube_e, e.coords)
         self.check(
             "T(D,D,E)", "triple", form.triple(d, d, e), d.coords, d.coords, e.coords
         )

@@ -16,6 +16,7 @@ from operator import mul
 from .cubicfactor import factor_quadratic_form
 from .exactmath import (
     Poly,
+    Rat,
     canonical_vector,
     echelon,
     height,
@@ -57,26 +58,51 @@ def third_point_on_line(form: IntersectionForm, p1, p2) -> Divisor | None:
     return out
 
 
+def tangent_data(
+    form: IntersectionForm, d, what: str = "point"
+) -> tuple[Divisor, tuple[int, ...], int, list[int]]:
+    """(divisor, x, den, s) for a nonzero class d, from one pass over the
+    entries: d as a Divisor, its integer coordinates x over the common
+    denominator den, and s = T(x, x, -).  cube(d) = s . x / den^3 and
+    `IntersectionForm._nu(x, s)` is nu(d), so neither needs a second pass;
+    `NullPoint.from_tangent` turns the tuple into a null point."""
+    divisor = _as_divisor(d)
+    if divisor.is_zero:
+        raise ValueError(f"{what} must be nonzero")
+    x, den = form._scaled(divisor)
+    return divisor, x, den, form._square(x)
+
+
 class NullPoint:
     """A rational point on the cubic null cone with its tangent data, computed
     once: integer coordinates x over the denominator den, s = T(x, x, -) from
     one pass over the entries, and the canonical key.  The point as given is
     kept as `divisor`.  cube(x) = s . x, so the null test costs O(rank) once s
-    is known; `what` names the point in the error messages."""
+    is known; `what` names the point in the error messages.
+
+    `NullPoint(form, d)` makes the pass (`tangent_data`);
+    `NullPoint.from_tangent` takes data a caller already holds, so a point
+    whose cube and nu were read from the same pass is not scanned again."""
 
     __slots__ = ("divisor", "x", "den", "s", "key", "zeros")
 
     def __init__(self, form: IntersectionForm, d, what: str = "point"):
-        self.divisor = _as_divisor(d)
-        if self.divisor.is_zero:
-            raise ValueError(f"{what} must be nonzero")
-        self.x, self.den = form._scaled(self.divisor)
-        self.s = form._square(self.x)
-        cube = sum(map(mul, self.s, self.x))
+        self._settle(*tangent_data(form, d, what), what)
+
+    @classmethod
+    def from_tangent(cls, data, what: str = "point") -> "NullPoint":
+        """The null point of `tangent_data`'s (divisor, x, den, s)."""
+        point = cls.__new__(cls)
+        point._settle(*data, what)
+        return point
+
+    def _settle(self, divisor: Divisor, x: tuple[int, ...], den: int, s: list[int], what: str):
+        cube = sum(map(mul, s, x))
         if cube:
-            raise ValueError(f"{what} is not on the cubic: cube = {ratio(cube, self.den ** 3)}")
-        self.key = canonical_vector(self.x)
-        self.zeros = self.x.count(0)
+            raise ValueError(f"{what} is not on the cubic: cube = {ratio(cube, den ** 3)}")
+        self.divisor, self.x, self.den, self.s = divisor, x, den, s
+        self.key = canonical_vector(x)
+        self.zeros = x.count(0)
 
 
 def residual_on_tangent(form: IntersectionForm, d, x) -> Divisor | None:
@@ -93,15 +119,24 @@ def residual_on_tangent(form: IntersectionForm, d, x) -> Divisor | None:
     is not None.  The residual is computed in integers, scaled by the
     positive factor den * xden^3, which moves neither its primitive vector
     nor its sign."""
+    xx = _as_divisor(x)
     if isinstance(d, NullPoint):
-        point, xx = d, _as_divisor(x)
-        if xx.is_zero:
-            raise ValueError("point and direction must be nonzero")
+        point = d
     else:
-        dd, xx = _as_divisor(d), _as_divisor(x)
+        dd = _as_divisor(d)
         if dd.is_zero or xx.is_zero:
             raise ValueError("point and direction must be nonzero")
         point = NullPoint(form, dd, "base point")
+    found = _residual(form, point, xx)
+    return None if found is None else found[0]
+
+
+def _residual(form: IntersectionForm, point: NullPoint, x) -> tuple[Divisor, Rat] | None:
+    """`residual_on_tangent` at a `NullPoint`, with the residual's cube as its
+    null-cone check computed it: (residual, cube), or None."""
+    xx = _as_divisor(x)
+    if xx.is_zero:
+        raise ValueError("point and direction must be nonzero")
     xi, xden = form._scaled(xx)
     tangency = sum(map(mul, point.s, xi))
     if tangency:
@@ -114,9 +149,10 @@ def residual_on_tangent(form: IntersectionForm, d, x) -> Divisor | None:
     if a == 0 and b == 0:
         return None
     out = Divisor(primitive_vector([a * u - 3 * b * v for u, v in zip(point.x, xi)]))
-    if form.cube(out) != 0:
+    cube = form.cube(out)
+    if cube != 0:
         raise AssertionError("residual point failed the null-cone check")
-    return out
+    return out, cube
 
 
 class Degeneracy(str, Enum):
@@ -138,6 +174,8 @@ class ChaseTrace:
     edges: list[ChaseEdge] = field(default_factory=list)
     degeneracies: list[tuple[Degeneracy, Divisor]] = field(default_factory=list)
     witness: Divisor | None = None
+    # cube(witness), as the witness's own null-cone check computed it
+    witness_cube: Rat | None = None
 
 
 def _tangent_section_is_cone(form: IntersectionForm, p: NullPoint) -> bool:
@@ -176,10 +214,12 @@ def chase(
     Directions at each point are the primitive vectors of the tangent-plane
     lattice in (height, spiral) order, at most `budget` per point; `depth`
     bounds the number of expansion levels.  Each expanded point's tangent
-    data is computed once, as a `NullPoint`; each direction then costs the
-    entries that touch its support (see `residual_on_tangent`).
+    data is computed once, as a `NullPoint`; d may already be one, whose data
+    is then reused.  Each direction costs the entries that touch its support
+    (see `residual_on_tangent`), and the witness's cube is the one its
+    null-cone check computed (`ChaseTrace.witness_cube`).
     """
-    start = NullPoint(form, d, "start point")
+    start = d if isinstance(d, NullPoint) else NullPoint(form, d, "start point")
     if depth < 1 or budget < 1:
         raise ValueError("depth and budget must be positive")
     trace = ChaseTrace()
@@ -188,6 +228,7 @@ def chase(
     queue: deque[tuple[Divisor, int]] = deque([(start.divisor, 0)])
     if c2.pair(start.divisor) != 0:
         trace.witness = start.divisor
+        trace.witness_cube = ratio(sum(map(mul, start.s, start.x)), start.den ** 3)
         return trace
     while queue:
         p, level = queue.popleft()
@@ -206,10 +247,11 @@ def chase(
                 break
             examined += 1
             direction = Divisor(x)
-            residual = residual_on_tangent(form, point, direction)
-            if residual is None:
+            found = _residual(form, point, direction)
+            if found is None:
                 trace.degeneracies.append((Degeneracy.LINE_CONTAINED, point.divisor))
                 continue
+            residual, cube = found
             res_key = canonical_vector(residual.coords)
             if res_key == point.key:
                 collapsed = True
@@ -221,7 +263,7 @@ def chase(
                 trace.visited.append(residual)
                 queue.append((residual, level + 1))
                 if c2.pair(residual) != 0:
-                    trace.witness = residual
+                    trace.witness, trace.witness_cube = residual, cube
                     return trace
         if collapsed and not productive and _tangent_section_is_cone(form, point):
             trace.degeneracies.append((Degeneracy.TANGENT_SECTION_IS_CONE, point.divisor))

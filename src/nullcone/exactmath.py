@@ -488,8 +488,9 @@ def _one_rational_root(coeffs: list[Rat]) -> Rat | None:
     if coeffs[-1] == 0:
         return 0
     ints = primitive_vector(coeffs)
+    lead = _divisors(ints[0])
     for p in _divisors(ints[-1]):
-        for q in _divisors(ints[0]):
+        for q in lead:
             for num in (p, -p):
                 # q^deg f(num/q) = sum c_i num^(deg-i) q^i, by Horner in num
                 val, q_pow = ints[0], 1

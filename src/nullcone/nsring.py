@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .exactmath import Rat, Vec, canonical_vector, cleared, frac, primitive_vector, ratio, vec, vec_dot
@@ -192,12 +193,18 @@ class IntersectionForm:
         return LinearClass(tuple(ratio(t, den * den) for t in self._square(x)))
 
     def numerical_dimension(self, d) -> int:
-        """nu(d) in {0,1,2,3}: largest power of d that is nonzero in the ring."""
+        """nu(d) in {0,1,2,3}: largest power of d that is nonzero in the ring,
+        from one `_square` pass (see `_nu`)."""
         x, _ = self._scaled(d)
-        sq = self._square(x)
-        if any(sq):
+        return self._nu(x, self._square(x))
+
+    def _nu(self, x: tuple[int, ...], s: Sequence[int]) -> int:
+        """nu from integer coordinates x and s = `_square(x)`: a caller that
+        holds s reads nu with no second pass, and `_polar` runs only when s
+        vanishes."""
+        if any(s):
             # cube(d) = T(d, d, -) . d, up to the positive factor den^3
-            return 3 if sum(t * c for t, c in zip(sq, x)) else 2
+            return 3 if sum(map(mul, s, x)) else 2
         return 1 if any(self._polar(x).values()) else 0
 
     def _polar(self, x: tuple[int, ...]) -> dict[tuple[int, int], int]:

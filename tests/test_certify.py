@@ -41,9 +41,11 @@ from helpers import (
     annihilator_c2,
     divisor_coords,
     form_of_cubic,
+    plant_nu1_fixture,
     plant_null_form,
     plant_reducible_form,
     plant_sparse_form,
+    random_form,
 )
 
 EXPECTED = {
@@ -295,6 +297,41 @@ def test_scaling_the_divisor_keeps_the_verdict():
         assert cert3.rule == cert.rule
 
 
+def test_cube_and_nu_of_d_match_the_ring():
+    # the pipeline reads cube(D) as s . x / den^3 and nu(D) from the same
+    # s = T(x, x, -); both equal the ring's own evaluations, of the same type,
+    # for D with fractional coordinates, cube(D) != 0 and nu = 0, 1 and 2
+    rng = random.Random(19)
+    cases = []
+    for n in (2, 3, 4, 5):
+        for _ in range(4):
+            d = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n - 1))
+            cases.append((random_form(rng, n, 5), d + (Fraction(1, 3),)))
+            form, d = plant_null_form(rng, n, 4)
+            cases.append((form, tuple(Fraction(x, 6) for x in d)))
+        form, d, _ = plant_nu1_fixture(rng, n, 4)
+        cases.append((form, tuple(Fraction(2 * x, 3) for x in d)))
+        # a form on the first n - 1 coordinates: the last unit vector is in
+        # its radical
+        entries = random_form(rng, n - 1, 5).entries if n > 2 else {(0, 0, 0): 1}
+        cases.append((IntersectionForm(n, entries), (0,) * (n - 1) + (Fraction(5, 7),)))
+    for name in ("inconsistent_nu_zero", "nu1_c2_zero"):
+        parsed = parse_input(load_fixture(name))
+        cases.append((parsed.form, parsed.divisors["D"].coords))
+    cubes, nus = set(), set()
+    for form, d in cases:
+        c2 = LinearClass([rng.randint(-3, 3) for _ in range(form.rank)])
+        checks = {chk.label: chk.value for chk in certify(form, c2, d).trace}
+        cube = form.cube(d)
+        assert checks["cube(D)"] == cube and type(checks["cube(D)"]) is type(cube)
+        cubes.add(cube != 0)
+        if "nu(D)" in checks:
+            nu = form.numerical_dimension(d)
+            assert checks["nu(D)"] == nu and type(checks["nu(D)"]) is int
+            nus.add(nu)
+    assert cubes == {True, False} and nus == {0, 1, 2}
+
+
 def test_witness_divisors_carry_names():
     _, cert = run_fixture("b4_diagonal_irreducible")
     assert cert.witnesses["D"].name == "D"
@@ -407,6 +444,47 @@ def test_semiprime_pure_powers_factor_only_the_anchor_line(monkeypatch):
     assert cert.rule == RULE_B4
     assert replay(form, c2, cert)
     assert len(calls) <= 4, f"factorint called {len(calls)} times"
+
+
+def test_certify_makes_one_tangent_pass_at_d(monkeypatch):
+    # cube(D), nu(D) and the tangent walk at D read one T(D, D, -) pass, and a
+    # witness E from the chase keeps the cube its null-cone check computed:
+    # at rank >= 5 the full trilinear pass runs once, on E
+    rng = random.Random(18)
+    cases = []
+    for n in range(5, 11):
+        for _ in range(3):
+            form, d = plant_null_form(rng, n, 4)
+            cases.append((form, annihilator_c2(rng, d, form.square_class(d).coords), d))
+    for name in ("b4_diagonal_irreducible", "b3_smooth_tangent"):
+        parsed = parse_input(load_fixture(name))
+        cases.append((parsed.form, parsed.c2, parsed.divisors["D"]))
+    squares, triples = [], []
+    real_square, real_triple = IntersectionForm._square, IntersectionForm.triple
+
+    def square(self, x):
+        squares.append(x)
+        return real_square(self, x)
+
+    def triple(self, a, b, c):
+        triples.append((a, b, c))
+        return real_triple(self, a, b, c)
+
+    monkeypatch.setattr(IntersectionForm, "_square", square)
+    monkeypatch.setattr(IntersectionForm, "triple", triple)
+    chased = 0
+    for form, c2, d in cases:
+        x, _ = form._scaled(d)
+        squares.clear()
+        triples.clear()
+        cert = certify(form, c2, d)
+        assert squares.count(x) == 1
+        if form.rank >= 5:
+            assert cert.rule == RULE_MAIN_IRREDUCIBLE and "E" in cert.witnesses
+            assert len(triples) == 1
+            chased += 1
+        assert replay(form, c2, cert)
+    assert chased == 18
 
 
 def test_sparse_rank200_certify_and_replay_under_a_second():

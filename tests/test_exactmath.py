@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from nullcone import exactmath
 from nullcone.exactmath import (
     Poly,
     _reach,
@@ -402,6 +403,22 @@ def test_rational_roots_large_constant_term_is_fast():
     elapsed = time.perf_counter() - start
     assert roots == [Fraction(a)]
     assert elapsed < 0.5, f"rational_roots took {elapsed:.2f} s"
+
+
+def test_rational_roots_factor_each_end_coefficient_once(monkeypatch):
+    # the candidates p/q need the divisors of both end coefficients; the
+    # leading one is factored once, not again for every divisor p
+    calls = []
+    original = exactmath.factorint
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(exactmath, "factorint", counted)
+    lead, const = 1000003 * 1000033, 1000037 * 1000039
+    assert rational_roots([lead, 0, 7, const]) == []
+    assert sorted(calls) == sorted([lead, const])
 
 
 def test_rational_roots_cubic_wrapper():

@@ -47,3 +47,28 @@ def test_denominators_are_cleared_in_one_place():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_tangent_pass_runs_in_one_place():
+    # T(x, x, -) is the one full pass that cube, nu and the tangent walk at a
+    # point all read; outside `nsring` it is made by `cubicchase.tangent_data`
+    # alone, so a second pass at the same point shows up here
+    found = []
+    for path in SOURCES:
+        if path.name == "nsring.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "cubicchase.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "tangent_data":
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_square"
+                and id(node) not in allowed
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
