@@ -12,9 +12,9 @@ from operator import mul
 
 from .cubicchase import (
     NullPoint,
+    _flex_value,
     _residual,
     chase,
-    inflection_test,
     tangent_data,
     ternary_singular_point,
 )
@@ -342,15 +342,17 @@ class _Pipeline:
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         self.witnesses["E"] = e
         self.check("cube(E)", "cube", cube_e, e.coords)
+        # T(D, D, E) = s . E / den^2, from D's tangent data
+        ex, eden = form._scaled(e)
         self.check(
-            "T(D,D,E)", "triple", form.triple(d, d, e), d.coords, d.coords, e.coords
+            "T(D,D,E)", "triple", ratio(sum(map(mul, point.s, ex)), point.den ** 2 * eden),
+            d.coords, d.coords, e.coords,
         )
-        is_flex, g = inflection_test(form, e, d)
+        # cube(E) = 0 was checked by `_residual`: the flex value is T(E, F, F)
+        val, g = _flex_value(form, e, d)
         self.witnesses["F"] = g
-        val = self.check(
-            "T(E,F,F)", "triple", form.triple(e, g, g), e.coords, g.coords, g.coords
-        )
-        if not is_flex:
+        self.check("T(E,F,F)", "triple", val, e.coords, g.coords, g.coords)
+        if val != 0:
             return self.finish(Conclusion.CERTIFIED, RULE_B3)
         self.warnings.append(
             "the residual class E is an inflection point: D, E and the tangent "

@@ -294,6 +294,14 @@ def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
     c = form.cube(ee)
     if c != 0:
         raise ValueError(f"point is not on the cubic: cube = {c}")
+    val, g = _flex_value(form, ee, d)
+    return val == 0, g
+
+
+def _flex_value(form: IntersectionForm, ee: Divisor, d=None) -> tuple[Rat, Divisor]:
+    """(T(e, g, g), g) for the nonzero null point e of a rank-3 cubic, g as in
+    `inflection_test`: a caller that already knows cube(e) = 0 reads the flex
+    value here with no second cube pass, and keeps it for its own record."""
     sq = form.square_class(ee)
     if sq.is_zero:
         raise ValueError("point is singular; the flex test needs a smooth point")
@@ -314,8 +322,7 @@ def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
             if len(echelon(rows)[1]) == 3:
                 chosen = g
                 break
-    val = form.triple(ee, chosen, chosen)
-    return val == 0, Divisor(chosen)
+    return form.triple(ee, chosen, chosen), Divisor(chosen)
 
 
 # ---------------------------------------------------------------------------

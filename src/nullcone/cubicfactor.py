@@ -62,10 +62,14 @@ class Factorization:
     def reconstruct(self, nvars: int) -> Poly:
         if self.kind is FactorKind.IRREDUCIBLE:
             raise ValueError("an irreducible cubic has no factored expansion")
-        factors = [Poly.linear(l) for l in self.linears]
+        # the scalar goes into the first linear factor, a few terms, rather
+        # than onto the whole product
+        first, *rest = self.linears
+        factors = [Poly.linear([self.scalar * c for c in first])]
+        factors.extend(Poly.linear(l) for l in rest)
         if self.quadric is not None:
             factors.append(self.quadric.to_poly())
-        return functools.reduce(operator.mul, factors) * self.scalar
+        return functools.reduce(operator.mul, factors)
 
 
 def expand_cubic(form: IntersectionForm) -> Poly:

@@ -31,6 +31,7 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -77,9 +78,10 @@ def vec(values: Iterable) -> Vec:
 
 
 def vec_dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
+    # map stops at the shorter argument, so the lengths are checked first
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def cleared(v: Sequence[Rat]) -> tuple[tuple[int, ...], int]:
@@ -549,7 +551,11 @@ def mat_identity(n: int) -> Mat:
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
-    return tuple(vec_dot(row, v) for row in a)
+    n = len(v)
+    for row in a:
+        if len(row) != n:
+            raise ValueError(f"dimension mismatch: {len(row)} vs {n}")
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
@@ -558,7 +564,7 @@ def primitive_vector(v: Sequence) -> tuple[int, ...]:
     Clears denominators and divides out the (positive) content; the direction
     of the input is kept, so formula outputs stay recognizable.
     """
-    w, _ = cleared([frac(x) for x in v])
+    w, _ = cleared(vec(v))
     g = math.gcd(*w)
     return tuple(x // g for x in w) if g > 1 else w
 
@@ -701,6 +707,9 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
     h and -h.  With ``canonical`` only primitive vectors with a positive
     leading entry come out; with a single free column (rows-free n = 1, as
     kernel lines never walk) that is one vector, and the walk ends after it.
+    The value lists are built once per height (the spiral, its part >= 0 for
+    a canonical vector's first nonzero coordinate, the +-h tail), so a node
+    picks one of them and filters nothing.
     """
     pivot_row: list[int | None] = [None] * n
     for r, row in enumerate(rows):
@@ -711,17 +720,15 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
     x = [0] * n
 
     def values(c: int, sums: list[int], top: int) -> list[int]:
+        # before the first nonzero coordinate of a canonical vector (top = 0)
+        # only values >= 0 are tried
         r = pivot_row[c]
-        if r is None:
-            out = spiral
-        else:
+        if r is not None:
             q, rem = divmod(-sums[r], rows[r][c])
-            out = [] if rem or abs(q) > h else [q]
-        if canonical and not top:
-            out = [v for v in out if v >= 0]
+            return [] if rem or abs(q) > h or (canonical and not top and q < 0) else [q]
         if not rows and c == n - 1 and top < h:
-            out = [v for v in out if abs(v) == h]
-        return out
+            return tail_first if canonical and not top else tail
+        return spiral_first if canonical and not top else spiral
 
     def reachable(sums: list[int], c: int, t: int) -> bool:
         for s, (span, full, tall) in zip(sums, reach[c]):
@@ -741,10 +748,13 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
             it, sums, top = stack[-1]
             c = len(stack) - 1
             for v in it:
-                nxt = [s + row[c] * v for s, row in zip(sums, rows)]
                 t = max(top, abs(v))
-                if rows and not reachable(nxt, c, t):
-                    continue
+                if rows:
+                    nxt = [s + row[c] * v for s, row in zip(sums, rows)]
+                    if not reachable(nxt, c, t):
+                        continue
+                else:
+                    nxt = sums
                 x[c] = v
                 if c + 1 < n:
                     stack.append((iter(values(c + 1, nxt, t)), nxt, t))
@@ -756,7 +766,10 @@ def _walk(n: int, rows: list[list[int]], canonical: bool, max_height: int | None
 
     h = 1
     while max_height is None or h <= max_height:
+        # the candidate values at height h, built once per height: the
+        # spiral, its part >= 0 and the +-h tail for the last rows-free column
         spiral = [0] + [s * k for k in range(1, h + 1) for s in (1, -1)]
+        spiral_first, tail, tail_first = list(range(h + 1)), [h, -h], [h]
         reach = list(zip(*(_reach(row, h) for row in rows)))
         for v in extend():
             yield v

@@ -31,7 +31,6 @@ from .exactmath import (
     is_perfect_square,
     iter_primitive_vectors,
     kernel_basis,
-    key_support,
     mat_identity,
     mat_vec,
     primitive_vector,
@@ -163,11 +162,14 @@ class QuadraticForm:
         if not p.is_homogeneous(2):
             raise ValueError("polynomial is not a homogeneous quadratic")
         n = p.nvars
+        # the key of x_i x_j, i <= j, is u_i + u_j: its lowest set bit is u_j,
+        # or 2 u_i for a square; a table of the n unit keys names them (one of
+        # all n^2 / 2 pair keys would cost O(n^2) keys of O(n) bits each)
+        index = {k: i for i, k in enumerate(unit_keys(n))}
         g = [[0] * n for _ in range(n)]
         for key, c in p.packed.items():
-            # x_i^2 has the one variable i, x_i x_j the two, i < j
-            support = key_support(key, n)
-            i, j = support[0][0], support[-1][0]
+            low = key & -key
+            i, j = (index[key >> 1],) * 2 if low == key else (index[key - low], index[low])
             # a half is a Fraction only for an odd cross coefficient
             half = c // 2 if c % 2 == 0 else Fraction(c, 2)
             g[i][j] = g[j][i] = c if i == j else half
@@ -214,32 +216,39 @@ def diagonalize(q: QuadraticForm) -> tuple[list[list[int]], list[Rat]]:
     of the column that rational elimination (col_i -= a_ki / a_kk col_k)
     gives: the same pivots, diagonal signs and squarefree parts.  P is
     invertible, so the form is degenerate exactly when a diagonal entry is 0.
+
+    A stays symmetric, so a congruence step computes row i of the new A
+    alone, as one list update, and copies it into column i.  P is held by
+    columns, so its step is one list update too, its content one gcd over
+    that list; it is transposed once at the end.
     """
     n = q.nvars
     den, a = q.den, [list(row) for row in q.igram]
-    p = mat_identity(n)
+    # cols[j] is column j of P
+    cols = mat_identity(n)
 
     def combine(dst: int, alpha: int, src: int, beta: int):
-        # col_dst <- alpha col_dst + beta col_src, as a congruence of A
-        for row in a:
-            row[dst] = alpha * row[dst] + beta * row[src]
-        a[dst] = [alpha * x + beta * y for x, y in zip(a[dst], a[src])]
-        for row in p:
-            row[dst] = alpha * row[dst] + beta * row[src]
-        g = math.gcd(*(row[dst] for row in p))
+        # col_dst <- alpha col_dst + beta col_src, as a congruence of A: the
+        # row operation first, then the column operation on its entry dst
+        row = [alpha * x + beta * y for x, y in zip(a[dst], a[src])]
+        row[dst] = alpha * row[dst] + beta * row[src]
+        col = [alpha * x + beta * y for x, y in zip(cols[dst], cols[src])]
+        g = math.gcd(*col)
         if g > 1:
-            for row in p:
-                row[dst] //= g
-            for row in a:
-                row[dst] //= g
-            a[dst] = [x // g for x in a[dst]]
+            col = [x // g for x in col]
+            row = [x // g for x in row]
+            # the diagonal entry carries the factor twice
+            row[dst] //= g
+        cols[dst] = col
+        a[dst] = row
+        for r, x in zip(a, row):
+            r[dst] = x
 
     def swap(i: int, j: int):
         for row in a:
             row[i], row[j] = row[j], row[i]
         a[i], a[j] = a[j], a[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
+        cols[i], cols[j] = cols[j], cols[i]
 
     for k in range(n):
         if a[k][k] == 0:
@@ -264,7 +273,7 @@ def diagonalize(q: QuadraticForm) -> tuple[list[list[int]], list[Rat]]:
         for i in range(k + 1, n):
             if a[k][i] != 0:
                 combine(i, abs(akk), k, -sgn * a[k][i])
-    return p, [ratio(a[i][i], den) for i in range(n)]
+    return [list(row) for row in zip(*cols)], [ratio(a[i][i], den) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +545,22 @@ def _dense_zero_search(gram: list[list[int]], budget: int) -> tuple[int, ...] | 
         evals += n
         if evals > budget:
             return None
+        # a zero coordinate of v adds nothing to b or c
+        nonzero = [k for k in range(n - 1) if v[k]]
         for pos in range(n):
             idx = others[pos]
             a = gram[pos][pos]
             row_pos = gram[pos]
             b = 0
             c = 0
-            for k in range(n - 1):
+            for t, k in enumerate(nonzero):
                 vk = v[k]
-                if vk == 0:
-                    continue
                 ik = idx[k]
                 b += row_pos[ik] * vk
                 row = gram[ik]
                 c += row[ik] * vk * vk
-                for l in range(k + 1, n - 1):
-                    if v[l]:
-                        c += 2 * row[idx[l]] * vk * v[l]
+                for l in nonzero[t + 1:]:
+                    c += 2 * row[idx[l]] * vk * v[l]
             # a t^2 + 2 b t + c = 0 has a rational root iff b^2 - ac is a
             # perfect square; scale the complement by a to stay integral
             disc = b * b - a * c
@@ -673,19 +681,33 @@ class ResidualPoint:
     tangent: bool
 
 
-def _residual(a, v: Sequence[int], av: Sequence[int], w: Sequence[int]) -> ResidualPoint | None:
-    """second_intersection on a = den S for integer v and w, av = a v once per
-    sweep: scaling by den > 0 or a positive factor moves no point or zero."""
-    qw = _quad(a, w)
-    bvw = vec_dot(av, w)
-    if qw == 0 and bvw == 0:
-        return None
+def _residual(
+    a: Sequence[Sequence[int]], v: Sequence[int], av: Sequence[int], w: Sequence[int]
+) -> tuple[tuple[int, ...], bool] | None:
+    """The secant formula: second_intersection on a = den S for integer v
+    and w, with av = a v computed once per sweep, as a raw (point, tangent)
+    tuple, or None when the line lies on the quadric.  Scaling by den > 0 or
+    a positive factor moves no point or zero.
+
+    B(v, w) = (a v) . w and Q(w) = w^T a w are summed over supp(w) alone, so
+    a direction with few nonzero coordinates costs O(|supp(w)|^2), not
+    O(n^2).  The residual point is verified on the whole matrix.
+    """
+    supp = [i for i, x in enumerate(w) if x]
+    bvw = qw = 0
+    for i in supp:
+        wi, row = w[i], a[i]
+        bvw += av[i] * wi
+        row_w = 0
+        for j in supp:
+            row_w += row[j] * w[j]
+        qw += wi * row_w
     if bvw == 0:
-        return ResidualPoint(primitive_vector(v), True)
-    pt = primitive_vector(tuple(qw * x - 2 * bvw * y for x, y in zip(v, w)))
+        return None if qw == 0 else (primitive_vector(v), True)
+    pt = primitive_vector([qw * x - 2 * bvw * y for x, y in zip(v, w)])
     if _quad(a, pt) != 0:
         raise AssertionError("residual point failed verification")
-    return ResidualPoint(pt, False)
+    return pt, False
 
 
 def second_intersection(q: QuadraticForm, v: Sequence, w: Sequence) -> ResidualPoint | None:
@@ -702,7 +724,11 @@ def second_intersection(q: QuadraticForm, v: Sequence, w: Sequence) -> ResidualP
     if canonical_vector(vv) == canonical_vector(ww):
         raise ValueError("direction is parallel to the base point")
     x, y = primitive_vector(vv), primitive_vector(ww)
-    return _residual(q.igram, x, mat_vec(q.igram, x), y)
+    # `_residual` reads w on its support alone, so its length is checked here
+    if len(y) != q.nvars:
+        raise ValueError(f"dimension mismatch: {q.nvars} vs {len(y)}")
+    found = _residual(q.igram, x, mat_vec(q.igram, x), y)
+    return None if found is None else ResidualPoint(*found)
 
 
 def sample_points(
@@ -732,16 +758,17 @@ def sample_points(
     for w in itertools.islice(iter_primitive_vectors(q.nvars), max_directions):
         if w == v_key:
             continue
-        res = _residual(a, vv, av, w)
-        if res is None or res.tangent:
+        found = _residual(a, vv, av, w)
+        if found is None or found[1]:
             continue
-        key = canonical_vector(res.point)
+        point = found[0]
+        key = canonical_vector(point)
         if key in seen:
             continue
         seen.add(key)
-        if any(vec_dot(l, res.point) == 0 for l in avoid_forms):
+        if any(vec_dot(l, point) == 0 for l in avoid_forms):
             continue
-        out.append(res.point)
+        out.append(point)
         if len(out) == count:
             return out
     raise InsufficientPoints(

@@ -1,6 +1,7 @@
 """Certificate pipeline: rule selection, witnesses, replayable traces."""
 
 from dataclasses import replace
+import json
 from fractions import Fraction
 import random
 import sys
@@ -29,7 +30,7 @@ from nullcone.certify import (
     replay,
     replay_check,
 )
-from nullcone.cli import fixture_names, load_fixture, parse_input
+from nullcone.cli import fixture_names, load_fixture, load_fixture_certificate, parse_input, render_json
 from nullcone.cubicchase import Degeneracy, NullPoint, _tangent_section_is_cone, chase
 from nullcone import cubicfactor, exactmath, quadpoints
 from nullcone.cubicfactor import expand_cubic
@@ -485,6 +486,28 @@ def test_certify_makes_one_tangent_pass_at_d(monkeypatch):
             chased += 1
         assert replay(form, c2, cert)
     assert chased == 18
+
+
+def test_rank3_smooth_path_makes_two_triple_calls(monkeypatch):
+    # cube(E) comes from the residual's null-cone check, T(D, D, E) from D's
+    # tangent data and T(E, F, F) from one flex evaluation: two full
+    # trilinear passes, on both outcomes of the smooth rank-3 rule
+    calls = []
+    real_triple = IntersectionForm.triple
+
+    def triple(self, a, b, c):
+        calls.append((a, b, c))
+        return real_triple(self, a, b, c)
+
+    monkeypatch.setattr(IntersectionForm, "triple", triple)
+    for name in ("b3_smooth_tangent", "b3_flex_obstruction"):
+        parsed = parse_input(load_fixture(name))
+        calls.clear()
+        cert = certify(parsed.form, parsed.c2, parsed.divisors["D"])
+        assert len(calls) <= 2, (name, calls)
+        assert [c.label for c in cert.trace][-3:] == ["cube(E)", "T(D,D,E)", "T(E,F,F)"]
+        assert json.loads(render_json(cert)) == load_fixture_certificate(name)
+        assert replay(parsed.form, parsed.c2, cert)
 
 
 def test_sparse_rank200_certify_and_replay_under_a_second():

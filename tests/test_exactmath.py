@@ -26,6 +26,7 @@ from nullcone.exactmath import (
     iter_kernel_primitives,
     iter_primitive_vectors,
     kernel_basis,
+    mat_vec,
     primitive_vector,
     rational_roots,
     rref,
@@ -82,6 +83,20 @@ def test_vec_passes_int_tuples_through_and_converts_the_rest():
 
 def test_vec_dot():
     assert vec_dot((1, 2, 3), (4, -5, 6)) == 12
+
+
+def test_vec_dot_and_mat_vec_reject_a_length_mismatch():
+    # both sum over map(mul, ...), which stops at the shorter argument; the
+    # length checks keep a mismatch from truncating silently
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        vec_dot((1, 2, 3), (4, 5))
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        vec_dot((1, 2), (4, 5, 6))
+    assert mat_vec([[1, 2], [3, 4]], (1, -1)) == (-1, -1)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        mat_vec([[1, 2], [3, 4]], (1, 0, 0))
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        mat_vec([[1, 2], [3, 4, 5]], (1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ from nullcone.exactmath import (
     canonical_vector,
     factorint,
     frac,
+    iter_integer_vectors,
+    iter_primitive_vectors,
+    mat_identity,
     mat_vec,
     primitive_vector,
+    spiral_key,
     vec,
     vec_dot,
 )
@@ -44,6 +48,7 @@ from helpers import (
     annihilator_c2,
     det,
     is_exact,
+    low_rank_gram,
     plant_reducible_form,
     random_gram,
     rational_diagonalize,
@@ -491,6 +496,10 @@ def test_second_intersection_errors():
         second_intersection(q, (1, 0, 0), (0, 1, 0))  # base off the quadric
     with pytest.raises(ValueError):
         second_intersection(q, (0, 0, 0), (1, 0, 0))
+    # the secant reads the direction on its support, so its length is checked
+    for w in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=f"dimension mismatch: 3 vs {len(w)}"):
+            second_intersection(q, (1, 1, 0), w)
 
 
 def test_sample_points_properties():
@@ -579,3 +588,159 @@ def test_second_intersection_matches_the_rational_formula():
             assert got == _rational_residual(q, v, w)
             kinds[None if got is None else got.tangent] += 1
     assert kinds[False] >= 100 and kinds[True] + kinds[None] >= 1, kinds
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against plain reference copies
+
+
+def _reference_diagonalize(q: QuadraticForm):
+    """`diagonalize` as two-sided congruence steps on A and on P by rows."""
+    n = q.nvars
+    den, a = q.den, [list(row) for row in q.igram]
+    p = mat_identity(n)
+
+    def combine(dst, alpha, src, beta):
+        for row in a:
+            row[dst] = alpha * row[dst] + beta * row[src]
+        a[dst] = [alpha * x + beta * y for x, y in zip(a[dst], a[src])]
+        for row in p:
+            row[dst] = alpha * row[dst] + beta * row[src]
+        g = math.gcd(*(row[dst] for row in p))
+        if g > 1:
+            for row in p:
+                row[dst] //= g
+            for row in a:
+                row[dst] //= g
+            a[dst] = [x // g for x in a[dst]]
+
+    def swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        a[i], a[j] = a[j], a[i]
+        for row in p:
+            row[i], row[j] = row[j], row[i]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if piv is not None:
+                swap(k, piv)
+            else:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
+                    None,
+                )
+                if pair is None:
+                    continue
+                i, j = pair
+                combine(i, 1, j, 1)
+                if i != k:
+                    swap(k, i)
+        akk = a[k][k]
+        if akk == 0:
+            continue
+        sgn = 1 if akk > 0 else -1
+        for i in range(k + 1, n):
+            if a[k][i] != 0:
+                combine(i, abs(akk), k, -sgn * a[k][i])
+    return p, [frac(Fraction(a[i][i], den)) for i in range(n)]
+
+
+def _reference_sample_points(q: QuadraticForm, v, count: int, avoid=(), max_directions: int = 5000):
+    """`sample_points` with the secant formula on whole vectors."""
+    a, vv = q.igram, primitive_vector(v)
+
+    def pair(x, y):
+        return sum(x[i] * a[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
+
+    if pair(vv, vv) != 0:
+        raise ValueError("base point does not lie on the quadric")
+    if not any(pair(vv, e) for e in mat_identity(len(vv))):
+        raise ValueError("base point lies in the radical; all secants degenerate")
+    avoid_forms = [primitive_vector(l) for l in avoid]
+    v_key = canonical_vector(vv)
+    out, seen = [], set()
+    for w in itertools.islice(iter_primitive_vectors(q.nvars), max_directions):
+        if w == v_key:
+            continue
+        qw, bvw = pair(w, w), pair(vv, w)
+        if bvw == 0:
+            continue
+        pt = primitive_vector([qw * x - 2 * bvw * y for x, y in zip(vv, w)])
+        key = canonical_vector(pt)
+        if key in seen:
+            continue
+        seen.add(key)
+        if any(vec_dot(l, pt) == 0 for l in avoid_forms):
+            continue
+        out.append(pt)
+        if len(out) == count:
+            return out
+    raise InsufficientPoints(
+        f"found {len(out)} of {count} requested points within {max_directions} directions"
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, InsufficientPoints) as exc:
+        return type(exc), str(exc)
+
+
+def _brute_force_prefix(n: int, canonical: bool) -> list[tuple[int, ...]]:
+    """Every vector of height 1, then those of height 2 whose first three
+    coordinates are 0, which come first in that shell: sorted by (height,
+    spiral-lex), primitive with a positive leading entry when canonical."""
+    shell1 = [v for v in itertools.product((-1, 0, 1), repeat=n) if any(v)]
+    shell2 = [(0, 0, 0) + v for v in itertools.product(range(-2, 3), repeat=n - 3) if 2 in map(abs, v)]
+    out = []
+    for shell in (shell1, shell2):
+        if canonical:
+            shell = [v for v in shell if math.gcd(*v) == 1 and next(x for x in v if x) > 0]
+        out.extend(sorted(shell, key=spiral_key))
+    return out
+
+
+def test_integer_kernels_match_reference_copies():
+    # diagonalize and sample_points give exactly the (P, diagonal) and point
+    # lists of plain reference copies, on integral, fractional, degenerate and
+    # zero-diagonal Grams at ranks 1-8, with avoid lists, and from_poly reads
+    # each Gram back off its polynomial; the rows-free walk they run on
+    # matches a brute-force sort at ranks 7 and 8
+    rng = random.Random(1919)
+    zero_pivot = degenerate = sampled = 0
+    for n in range(1, 9):
+        for kind in range(4):
+            if kind == 3 and n > 1:
+                gram = low_rank_gram(rng, n, rng.randint(1, n - 1), 3)
+                degenerate += 1
+            else:
+                gram = random_gram(rng, n, 6, (1, 2, 6)[kind % 3])
+            if kind == 1:
+                # a zero diagonal sends the elimination through swaps and the
+                # off-diagonal pair step
+                for i in rng.sample(range(n), rng.randint(1, n)):
+                    gram[i][i] = 0
+                zero_pivot += 1
+            q = QuadraticForm(tuple(map(tuple, gram)))
+            if q.is_zero:
+                continue
+            assert diagonalize(q) == _reference_diagonalize(q)
+            assert QuadraticForm.from_poly(q.to_poly()) == q
+            verdict = isotropic_vector(q)
+            bases = list(verdict.radical_basis)
+            if verdict.witness is not None:
+                bases.append(verdict.witness)
+            for v in bases:
+                avoid = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+                count = rng.randint(1, 6)
+                got = _outcome(sample_points, q, v, count, avoid=avoid, max_directions=300)
+                assert got == _outcome(_reference_sample_points, q, v, count, avoid, 300)
+                sampled += isinstance(got, list)
+    assert zero_pivot == 8 and degenerate == 7 and sampled >= 10
+    for n in (7, 8):
+        for canonical, walk in ((False, iter_integer_vectors), (True, iter_primitive_vectors)):
+            want = _brute_force_prefix(n, canonical)
+            assert list(itertools.islice(walk(n), len(want))) == want

@@ -72,3 +72,17 @@ def test_tangent_pass_runs_in_one_place():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_secant_formula_runs_in_one_place():
+    # `quadpoints._residual` is the one secant routine: sample_points and
+    # second_intersection both call it, so neither carries its own copy
+    tree = ast.parse((Path(nullcone.__file__).parent / "quadpoints.py").read_text(encoding="utf-8"))
+    callers = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("sample_points", "second_intersection"):
+            callers[node.name] = any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_residual"
+                for n in ast.walk(node)
+            )
+    assert callers == {"sample_points": True, "second_intersection": True}
