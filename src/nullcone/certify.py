@@ -8,31 +8,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import mul
 
-from .cubicchase import (
-    NullPoint,
-    _flex_value,
-    _residual,
-    chase,
-    tangent_data,
-    ternary_singular_point,
-)
+from .cubicchase import _flex_value, _residual, chase, ternary_singular_point
 from .cubicfactor import FactorKind, expand_cubic, factor_over_Q
 from .exactmath import (
     Rat,
     canonical_vector,
+    enum_key,
     frac,
-    height,
     is_perfect_square,
     iter_kernel_primitives,
     iter_primitive_vectors,
     primitive_vector,
-    ratio,
-    spiral_key,
     vec_dot,
 )
-from .nsring import Divisor, IntersectionForm, LinearClass, _as_divisor, validate_input
+from .nsring import Divisor, IntersectionForm, LinearClass, Point, _as_divisor, validate_input
 from .quadpoints import (
     InsufficientPoints,
     IsotropyKind,
@@ -126,9 +116,9 @@ class _Pipeline:
         self.warnings: list[str] = []
         self.caveats: list[str] = [CAVEAT_ASSUMED]
         self.witnesses: dict[str, Divisor] = {"D": self.d}
-        # D's (divisor, x, den, s) from `tangent_data`: one pass gives cube(D),
-        # nu(D) and, where a rule walks tangent lines at D, its `NullPoint`
-        self.tangent = None
+        # D's tangent pass: cube(D), nu(D) and the rules that walk tangent
+        # lines at D all read it
+        self.point: Point | None = None
         if self.h is not None:
             self.witnesses["H"] = self.h
 
@@ -159,14 +149,11 @@ class _Pipeline:
         self.warnings.extend(
             validate_input(form, c2, nef=[d], ample=[self.h] if self.h is not None else [])
         )
-        self.tangent = tangent_data(form, d, "D")
-        _, x, den, s = self.tangent
-        # cube(D) = T(x, x, x) / den^3 = s . x / den^3
-        cube_d = self.check("cube(D)", "cube", ratio(sum(map(mul, s, x)), den ** 3), d.coords)
+        self.point = Point(form, d, "D")
+        cube_d = self.check("cube(D)", "cube", self.point.cube(), d.coords)
         if cube_d != 0:
             return self.finish(Conclusion.CERTIFIED, RULE_NEFPSEF)
-        nu = form._nu(x, s)
-        self.check("nu(D)", "nu", nu, d.coords)
+        nu = self.check("nu(D)", "nu", self.point.nu(), d.coords)
         if nu == 0:
             self.warnings.append(
                 "D is numerically trivial (nu = 0); no nef non-ample divisor on the "
@@ -201,8 +188,7 @@ class _Pipeline:
         return fac
 
     def _chase_witness(self) -> Divisor | None:
-        start = NullPoint.from_tangent(self.tangent, "D")
-        trace = chase(self.form, self.c2, start, self.opts.depth, self.opts.budget)
+        trace = chase(self.form, self.c2, self.point, self.opts.depth, self.opts.budget)
         if trace.witness is not None:
             self.witnesses["E"] = trace.witness
             self.check(
@@ -256,8 +242,7 @@ class _Pipeline:
         except InsufficientPoints as exc:
             self.warnings.append(f"constructive point search gave out: {exc}")
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-        best = min(samples, key=lambda s: (height(s), spiral_key(canonical_vector(s))))
-        e = Divisor(best)
+        e = Divisor(min(samples, key=enum_key))
         self.witnesses["E"] = e
         self.check(
             "Q(E)", "quad", quad.evaluate(e.coords), tuple(quad.gram), e.coords
@@ -292,9 +277,9 @@ class _Pipeline:
         p = ternary_singular_point(form)
         if p is not None:
             self.witnesses["P"] = p
-            self.check("cube(P)", "cube", form.cube(p), p.coords)
-            self.check("nu(P)", "nu", form.numerical_dimension(p), p.coords)
-            point = NullPoint(form, p)
+            point = Point(form, p)
+            self.check("cube(P)", "cube", point.cube(), p.coords)
+            self.check("nu(P)", "nu", point.nu(), p.coords)
             examined = 0
             for x in iter_primitive_vectors(form.rank):
                 if x == point.key:
@@ -320,7 +305,7 @@ class _Pipeline:
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         # smooth cubic: walk to the residual of the tangent line at D; nu(D) = 2,
         # so the tangent plane is a rank-2 lattice with directions besides D
-        point = NullPoint.from_tangent(self.tangent, "D")
+        point = self.point
         direction = next(x for x in iter_kernel_primitives([point.s]) if x != point.key)
         found = _residual(form, point, Divisor(direction))
         if found is None:
@@ -342,12 +327,7 @@ class _Pipeline:
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         self.witnesses["E"] = e
         self.check("cube(E)", "cube", cube_e, e.coords)
-        # T(D, D, E) = s . E / den^2, from D's tangent data
-        ex, eden = form._scaled(e)
-        self.check(
-            "T(D,D,E)", "triple", ratio(sum(map(mul, point.s, ex)), point.den ** 2 * eden),
-            d.coords, d.coords, e.coords,
-        )
+        self.check("T(D,D,E)", "triple", point.triple(e), d.coords, d.coords, e.coords)
         # cube(E) = 0 was checked by `_residual`: the flex value is T(E, F, F)
         val, g = _flex_value(form, e, d)
         self.witnesses["F"] = g

@@ -19,15 +19,13 @@ from .exactmath import (
     Rat,
     canonical_vector,
     echelon,
-    height,
+    enum_key,
     iter_kernel_primitives,
     kernel_basis,
     primitive_vector,
-    ratio,
     rational_roots,
-    spiral_key,
 )
-from .nsring import Divisor, IntersectionForm, LinearClass, _as_divisor
+from .nsring import Divisor, IntersectionForm, LinearClass, Point, _as_divisor
 from .quadpoints import IsotropyKind, QuadraticForm, isotropic_vector, radical
 
 
@@ -58,51 +56,13 @@ def third_point_on_line(form: IntersectionForm, p1, p2) -> Divisor | None:
     return out
 
 
-def tangent_data(
-    form: IntersectionForm, d, what: str = "point"
-) -> tuple[Divisor, tuple[int, ...], int, list[int]]:
-    """(divisor, x, den, s) for a nonzero class d, from one pass over the
-    entries: d as a Divisor, its integer coordinates x over the common
-    denominator den, and s = T(x, x, -).  cube(d) = s . x / den^3 and
-    `IntersectionForm._nu(x, s)` is nu(d), so neither needs a second pass;
-    `NullPoint.from_tangent` turns the tuple into a null point."""
-    divisor = _as_divisor(d)
-    if divisor.is_zero:
-        raise ValueError(f"{what} must be nonzero")
-    x, den = form._scaled(divisor)
-    return divisor, x, den, form._square(x)
-
-
-class NullPoint:
-    """A rational point on the cubic null cone with its tangent data, computed
-    once: integer coordinates x over the denominator den, s = T(x, x, -) from
-    one pass over the entries, and the canonical key.  The point as given is
-    kept as `divisor`.  cube(x) = s . x, so the null test costs O(rank) once s
-    is known; `what` names the point in the error messages.
-
-    `NullPoint(form, d)` makes the pass (`tangent_data`);
-    `NullPoint.from_tangent` takes data a caller already holds, so a point
-    whose cube and nu were read from the same pass is not scanned again."""
-
-    __slots__ = ("divisor", "x", "den", "s", "key", "zeros")
-
-    def __init__(self, form: IntersectionForm, d, what: str = "point"):
-        self._settle(*tangent_data(form, d, what), what)
-
-    @classmethod
-    def from_tangent(cls, data, what: str = "point") -> "NullPoint":
-        """The null point of `tangent_data`'s (divisor, x, den, s)."""
-        point = cls.__new__(cls)
-        point._settle(*data, what)
-        return point
-
-    def _settle(self, divisor: Divisor, x: tuple[int, ...], den: int, s: list[int], what: str):
-        cube = sum(map(mul, s, x))
-        if cube:
-            raise ValueError(f"{what} is not on the cubic: cube = {ratio(cube, den ** 3)}")
-        self.divisor, self.x, self.den, self.s = divisor, x, den, s
-        self.key = canonical_vector(x)
-        self.zeros = x.count(0)
+def _on_cubic(form: IntersectionForm, d, what: str) -> Point:
+    """d as a `Point` (reused when it is one), checked to be on the cubic."""
+    point = d if isinstance(d, Point) else Point(form, d, what)
+    cube = point.cube()
+    if cube:
+        raise ValueError(f"{what} is not on the cubic: cube = {cube}")
+    return point
 
 
 def residual_on_tangent(form: IntersectionForm, d, x) -> Divisor | None:
@@ -112,36 +72,28 @@ def residual_on_tangent(form: IntersectionForm, d, x) -> Divisor | None:
     doubly at d; the remaining root is cube(x) * d - 3 T(d,x,x) * x.  Returns
     None when the whole line lies on the cubic.
 
-    d may be a `NullPoint`, whose tangent data is reused: tangency is then
-    s . x, and cube(x) and T(d, x, x) come from one pass over the entries
-    that touch the support of x, so a direction with few nonzero coordinates
-    costs O(those entries), plus one full null-cone check of a residual that
-    is not None.  The residual is computed in integers, scaled by the
-    positive factor den * xden^3, which moves neither its primitive vector
-    nor its sign."""
+    d may be a class or an `nsring.Point`, whose tangent pass is reused;
+    either way it is checked to be on the cubic.  Tangency is s . x, and
+    cube(x) and T(d, x, x) come from one pass over the entries that touch
+    the support of x, so a direction with few nonzero coordinates costs
+    O(those entries), plus one full null-cone check of a residual that is
+    not None.  The residual is computed in integers, scaled
+    by the positive factor den * xden^3, which moves neither its primitive
+    vector nor its sign."""
     xx = _as_divisor(x)
-    if isinstance(d, NullPoint):
-        point = d
-    else:
-        dd = _as_divisor(d)
-        if dd.is_zero or xx.is_zero:
-            raise ValueError("point and direction must be nonzero")
-        point = NullPoint(form, dd, "base point")
-    found = _residual(form, point, xx)
+    if xx.is_zero or (not isinstance(d, Point) and _as_divisor(d).is_zero):
+        raise ValueError("point and direction must be nonzero")
+    found = _residual(form, _on_cubic(form, d, "base point"), xx)
     return None if found is None else found[0]
 
 
-def _residual(form: IntersectionForm, point: NullPoint, x) -> tuple[Divisor, Rat] | None:
-    """`residual_on_tangent` at a `NullPoint`, with the residual's cube as its
-    null-cone check computed it: (residual, cube), or None."""
-    xx = _as_divisor(x)
-    if xx.is_zero:
-        raise ValueError("point and direction must be nonzero")
-    xi, xden = form._scaled(xx)
-    tangency = sum(map(mul, point.s, xi))
-    if tangency:
-        tangency = ratio(tangency, point.den ** 2 * xden)
-        raise ValueError(f"direction is not tangent: T(d,d,x) = {tangency}")
+def _residual(form: IntersectionForm, point: Point, x: Divisor) -> tuple[Divisor, Rat] | None:
+    """`residual_on_tangent` at a `Point` on the cubic and a nonzero direction
+    x, with the residual's cube as its null-cone check computed it:
+    (residual, cube), or None."""
+    xi, _ = form._scaled(x)
+    if sum(map(mul, point.s, xi)):
+        raise ValueError(f"direction is not tangent: T(d,d,x) = {point.triple(x)}")
     # a parallel direction has the point's zero coordinates
     if xi.count(0) == point.zeros and point.key == canonical_vector(xi):
         raise ValueError("direction is parallel to the base point")
@@ -178,7 +130,7 @@ class ChaseTrace:
     witness_cube: Rat | None = None
 
 
-def _tangent_section_is_cone(form: IntersectionForm, p: NullPoint) -> bool:
+def _tangent_section_is_cone(form: IntersectionForm, p: Point) -> bool:
     """Whether T(p, x, y) = 0 for all x, y in H = {s = 0}, s = T(p, p, -) != 0:
     exactly when no tangent direction x at p is productive, since the residual
     cube(x) p - 3 T(p, x, x) x leaves p iff T(p, x, x) != 0.
@@ -214,12 +166,12 @@ def chase(
     Directions at each point are the primitive vectors of the tangent-plane
     lattice in (height, spiral) order, at most `budget` per point; `depth`
     bounds the number of expansion levels.  Each expanded point's tangent
-    data is computed once, as a `NullPoint`; d may already be one, whose data
-    is then reused.  Each direction costs the entries that touch its support
+    pass is made once, as an `nsring.Point`; the start d may already be one,
+    whose pass is then reused, and is checked to be on the cubic.  Each direction costs the entries that touch its support
     (see `residual_on_tangent`), and the witness's cube is the one its
     null-cone check computed (`ChaseTrace.witness_cube`).
     """
-    start = d if isinstance(d, NullPoint) else NullPoint(form, d, "start point")
+    start = _on_cubic(form, d, "start point")
     if depth < 1 or budget < 1:
         raise ValueError("depth and budget must be positive")
     trace = ChaseTrace()
@@ -228,13 +180,13 @@ def chase(
     queue: deque[tuple[Divisor, int]] = deque([(start.divisor, 0)])
     if c2.pair(start.divisor) != 0:
         trace.witness = start.divisor
-        trace.witness_cube = ratio(sum(map(mul, start.s, start.x)), start.den ** 3)
+        trace.witness_cube = start.cube()
         return trace
     while queue:
         p, level = queue.popleft()
         if level >= depth:
             continue
-        point = start if level == 0 else NullPoint(form, p)
+        point = start if level == 0 else Point(form, p)
         if not any(point.s):
             trace.degeneracies.append((Degeneracy.POINT_SINGULAR, point.divisor))
             continue
@@ -467,8 +419,7 @@ def ternary_singular_point(form: IntersectionForm) -> Divisor | None:
                 good.append(key)
         if not good:
             return None
-        best = min(set(good), key=lambda v: (height(v), spiral_key(v)))
-        return Divisor(best)
+        return Divisor(min(set(good), key=enum_key))
 
     descriptions = [_describe_zero_set(q) for q in quadrics]
     if any(d[0] == "empty" for d in descriptions):

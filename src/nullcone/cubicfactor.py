@@ -24,14 +24,13 @@ from .exactmath import (
     Poly,
     Rat,
     canonical_vector,
-    height,
+    enum_key,
     integral_divide,
     iter_integer_vectors,
     key_exponent,
     key_support,
     primitive_part,
     rational_roots,
-    spiral_key,
     unit_keys,
 )
 from .nsring import IntersectionForm
@@ -291,7 +290,7 @@ def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], int] | No
     for key, c in cof.packed.items():
         [(i, _)] = key_support(key, q.nvars)
         coords[i] = c
-    pair = sorted((l1, canonical_vector(coords)), key=lambda v: (height(v), spiral_key(v)))
+    pair = sorted((l1, canonical_vector(coords)), key=enum_key)
     prod = Poly.linear(pair[0]) * Poly.linear(pair[1])
     lead = max(prod.packed)
     sign = q.packed.get(lead, 0) // prod.packed[lead]
@@ -338,7 +337,7 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
         l2, l3, sign = split
         scalar = scalar * sign
         triple = [lin, l2, l3]
-        distinct = sorted(set(triple), key=lambda v: (height(v), spiral_key(v)))
+        distinct = sorted(set(triple), key=enum_key)
         if len(distinct) == 1:
             kind, ordered = FactorKind.LINEAR_CUBE, (distinct[0],) * 3
         elif len(distinct) == 2:

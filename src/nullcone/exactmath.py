@@ -613,14 +613,6 @@ def echelon(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[int]]
     return m[: len(pivots)], pivots
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column indices: `echelon` with
-    each pivot scaled to 1, then one zero row per input row left over."""
-    m, pivots = echelon(rows)
-    out = [[ratio(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return out + [[0] * len(rows[0]) for _ in range(len(rows) - len(m))], pivots
-
-
 def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Basis of the rational kernel as canonical primitive integer vectors.
 
@@ -653,6 +645,15 @@ def height(v: Sequence[int]) -> int:
 def spiral_key(v: Sequence[int]):
     """Sort key ordering coordinates 0 < 1 < -1 < 2 < -2 < ..."""
     return tuple((abs(int(x)), 0 if x >= 0 else 1) for x in v)
+
+
+def enum_key(v: Sequence[int]):
+    """Sort key for the enumerators' (height, spiral-lex) order on the
+    projective point of a primitive integer vector v: the key of its
+    canonical vector, which for a primitive v is only a sign flip."""
+    if next((x for x in v if x), 0) < 0:
+        v = tuple(-x for x in v)
+    return height(v), spiral_key(v)
 
 
 # A row gets reachability bitsets only while n (2 h sum|a| + 1), which bounds

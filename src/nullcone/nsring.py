@@ -199,9 +199,9 @@ class IntersectionForm:
         return self._nu(x, self._square(x))
 
     def _nu(self, x: tuple[int, ...], s: Sequence[int]) -> int:
-        """nu from integer coordinates x and s = `_square(x)`: a caller that
-        holds s reads nu with no second pass, and `_polar` runs only when s
-        vanishes."""
+        """nu from integer coordinates x and s = `_square(x)`: a `Point`,
+        which holds s, reads nu with no second pass, and `_polar` runs only
+        when s vanishes."""
         if any(s):
             # cube(d) = T(d, d, -) . d, up to the positive factor den^3
             return 3 if sum(map(mul, s, x)) else 2
@@ -219,6 +219,46 @@ class IntersectionForm:
             if k != j:
                 pairs[i, j] = pairs.get((i, j), 0) + v * x[k]
         return pairs
+
+
+class Point:
+    """A nonzero class p with its tangent pass, made once: integer coordinates
+    x over the common denominator den, s = T(x, x, -) from one `_square` pass,
+    and the number of zero coordinates.  The class as given is `divisor`.
+
+    By Euler's identity cube(p) = s . x / den^3, nu(p) is `_nu(x, s)` and
+    T(p, p, y) = s . y / den^2, so none of them makes a second pass.  The
+    canonical key is made on first use.  A point need not be on the cubic;
+    `what` names it in the error for a zero class."""
+
+    __slots__ = ("form", "divisor", "x", "den", "s", "zeros", "_key")
+
+    def __init__(self, form: IntersectionForm, d, what: str = "point"):
+        divisor = _as_divisor(d)
+        if divisor.is_zero:
+            raise ValueError(f"{what} must be nonzero")
+        self.form, self.divisor = form, divisor
+        self.x, self.den = form._scaled(divisor)
+        self.s = form._square(self.x)
+        self.zeros = self.x.count(0)
+        self._key = None
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        if self._key is None:
+            self._key = canonical_vector(self.x)
+        return self._key
+
+    def cube(self) -> Rat:
+        return ratio(sum(map(mul, self.s, self.x)), self.den ** 3)
+
+    def nu(self) -> int:
+        return self.form._nu(self.x, self.s)
+
+    def triple(self, y) -> Rat:
+        """T(p, p, y)."""
+        yi, yden = self.form._scaled(y)
+        return ratio(sum(map(mul, self.s, yi)), self.den ** 2 * yden)
 
 
 def nef_threshold(form: IntersectionForm, h: Divisor, d: Divisor) -> Fraction:

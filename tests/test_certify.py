@@ -31,11 +31,11 @@ from nullcone.certify import (
     replay_check,
 )
 from nullcone.cli import fixture_names, load_fixture, load_fixture_certificate, parse_input, render_json
-from nullcone.cubicchase import Degeneracy, NullPoint, _tangent_section_is_cone, chase
+from nullcone.cubicchase import Degeneracy, _tangent_section_is_cone, chase
 from nullcone import cubicfactor, exactmath, quadpoints
 from nullcone.cubicfactor import expand_cubic
 from nullcone.exactmath import Poly, canonical_vector, is_probable_prime, rational_roots, unit_keys
-from nullcone.nsring import Divisor, IntersectionForm, LinearClass
+from nullcone.nsring import Divisor, IntersectionForm, LinearClass, Point
 from nullcone.quadpoints import QuadraticForm
 
 from helpers import (
@@ -555,7 +555,7 @@ def test_sparse_budget_stall_certifies_under_a_second(monkeypatch, rank, seed):
     assert cert.rule == RULE_MAIN_IRREDUCIBLE and set(cert.witnesses) == {"D"}
     assert elapsed < 1.0, f"rank-{rank} sparse certify plus replay took {elapsed:.2f} s"
     [trace] = traces
-    assert trace.witness is None and not _tangent_section_is_cone(form, NullPoint(form, d))
+    assert trace.witness is None and not _tangent_section_is_cone(form, Point(form, d))
     assert Degeneracy.TANGENT_SECTION_IS_CONE not in {k for k, _ in trace.degeneracies}
 
 

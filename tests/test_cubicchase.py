@@ -9,7 +9,6 @@ import pytest
 from nullcone.cubicchase import (
     ChaseEdge,
     Degeneracy,
-    NullPoint,
     _tangent_section_is_cone,
     chase,
     inflection_test,
@@ -18,10 +17,11 @@ from nullcone.cubicchase import (
     ternary_singular_point,
     third_point_on_line,
 )
-from nullcone.exactmath import Poly, canonical_vector, kernel_basis, primitive_vector
-from nullcone.nsring import Divisor, IntersectionForm, LinearClass
+from nullcone.exactmath import Poly, canonical_vector, echelon, kernel_basis, primitive_vector
+from nullcone.nsring import Divisor, IntersectionForm, LinearClass, Point
 
 from helpers import (
+    annihilator_c2,
     change_basis,
     divisor_coords,
     form_of_cubic,
@@ -217,14 +217,15 @@ def _residual_cases(rng):
 
 
 def test_residual_on_tangent_matches_full_passes():
-    # the Divisor path and the NullPoint path against the reference: the same
-    # residual, or the same exception and message, checked in the same order
+    # the Divisor path and the Point path against the reference: the same
+    # residual, or the same exception and message, checked in the same order;
+    # a Point is refused only for the zero class
     rng = random.Random(62)
     seen = set()
     for form, points, directions in _residual_cases(rng):
         for p in points:
             try:
-                point = NullPoint(form, p)
+                point = Point(form, p)
             except ValueError as exc:
                 point, refused = None, str(exc)
             for x in directions:
@@ -233,8 +234,9 @@ def test_residual_on_tangent_matches_full_passes():
                 assert _outcome(residual_on_tangent, form, Divisor(p), Divisor(x)) == expect
                 if point is not None:
                     assert _outcome(residual_on_tangent, form, point, x) == expect
-                elif expect[1].startswith("base point"):
-                    assert refused == expect[1].replace("base point", "point")
+                else:
+                    assert not any(p) and refused == "point must be nonzero"
+                    assert expect[1] == "point and direction must be nonzero"
     assert seen == {
         True, False,
         "point and direction must be nonzero",
@@ -377,9 +379,32 @@ def test_tangent_section_cone_test_matches_the_hyperplane_basis():
                 form, p = change_basis(form, u), transform_point(u_inv, p)
         if form.square_class(p).is_zero:
             continue
-        verdicts.append(_tangent_section_is_cone(form, NullPoint(form, p)))
+        verdicts.append(_tangent_section_is_cone(form, Point(form, p)))
         assert verdicts[-1] == _cone_by_basis(form, p)
     assert 40 < sum(verdicts) < len(verdicts) - 40
+
+
+def test_chase_from_a_point_matches_chase_from_its_divisor():
+    # a Point start reuses its tangent pass and walks exactly as its divisor
+    # does: the same ChaseTrace, at planted null points of ranks 2-10 given
+    # as integers and as Fraction multiples, with c2 killing the start (so
+    # the walk runs) or not (so the start is the witness)
+    rng = random.Random(21)
+    runs = 0
+    for n in range(2, 11):
+        for trial in range(3):
+            form, d = plant_null_form(rng, n, 4)
+            start = d if trial < 2 else tuple(Fraction(2 * c, 3) for c in d)
+            if trial == 1 or n == 2:
+                c2 = LinearClass(nonzero_vector(rng, n, 2))
+            else:
+                c2 = annihilator_c2(rng, d, form.square_class(d).coords)
+            point = Point(form, start)
+            for depth, budget in ((1, 5), (3, 40)):
+                expect = chase(form, c2, point.divisor, depth, budget)
+                assert chase(form, c2, point, depth, budget) == expect
+                runs += bool(expect.edges)
+    assert runs > 20
 
 
 def test_chase_respects_budget_and_depth():
@@ -447,12 +472,10 @@ def test_inflection_g_independent_of_d():
     is_flex_d, g = inflection_test(DIAG3, (-1, 1, 0), d)
     assert is_flex_plain == is_flex_d
     # with d supplied, g leaves the span of d and e when possible
-    from nullcone.exactmath import rref
-
     rows = [[Fraction(c) for c in (1, 1, 1)],
             [Fraction(c) for c in (-1, 1, 0)],
             [Fraction(c) for c in divisor_coords(g)]]
-    assert len(rref(rows)[1]) == 3
+    assert len(echelon(rows)[1]) == 3
 
 
 def test_inflection_errors():

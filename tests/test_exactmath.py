@@ -16,6 +16,8 @@ from nullcone.exactmath import (
     _reach,
     canonical_vector,
     cleared,
+    echelon,
+    enum_key,
     exact_divide,
     frac,
     height,
@@ -29,7 +31,6 @@ from nullcone.exactmath import (
     mat_vec,
     primitive_vector,
     rational_roots,
-    rref,
     spiral_key,
     unit_keys,
     vec,
@@ -463,38 +464,40 @@ def test_rref_and_kernel():
         assert vec_dot(v, (1, 2, -3)) == 0
 
 
-def test_rref_pivots():
-    m, pivots = rref([[frac(0), frac(2)], [frac(1), frac(1)]])
+def test_echelon_pivots():
+    m, pivots = echelon([[frac(0), frac(2)], [frac(1), frac(1)]])
     assert pivots == [0, 1]
-    assert m[0][0] == 1 and m[1][1] == 1 and m[0][1] == 0 and m[1][0] == 0
+    assert m == [(1, 0), (0, 1)]
 
 
 def _types(rows):
     return [[type(x) for x in row] for row in rows]
 
 
-def test_rref_of_integer_matrices_is_exact():
-    # integral entries are ints, fractional ones Fractions
-    m, pivots = rref([[2, 1]])
-    assert m == [[1, Fraction(1, 2)]] and pivots == [0]
-    assert _types(m) == [[int, Fraction]]
-    m, pivots = rref([[2, 4, 1], [1, 3, 1]])
-    assert m == [[1, 0, Fraction(-1, 2)], [0, 1, Fraction(1, 2)]] and pivots == [0, 1]
-    assert _types(m) == [[int, int, Fraction], [int, int, Fraction]]
+def test_echelon_of_integer_matrices_is_integral():
+    # each row is the rational RREF row scaled to a primitive integer vector
+    # with a positive pivot, the only nonzero entry of its column
+    m, pivots = echelon([[2, 1]])
+    assert m == [(2, 1)] and pivots == [0]
+    m, pivots = echelon([[2, 4, 1], [1, 3, 1]])
+    assert m == [(2, 0, -1), (0, 2, 1)] and pivots == [0, 1]
+    assert echelon([[-2, -4, -1], [1, 3, 1]]) == (m, pivots)
+    assert _types(m) == [[int, int, int], [int, int, int]]
 
 
-def test_rref_keeps_zero_rows_last():
-    # rank 2 of 4 rows, two of them multiples of the others: every input row
-    # comes back, the two zero rows after the pivot rows
+def test_echelon_drops_zero_rows():
+    # rank 2 of 4 rows, two of them multiples of the others: only the two
+    # pivot rows come back, integral, though the input has Fractions
     rows = [
         [0, 0, Fraction(1, 3), 1],
         [1, Fraction(1, 2), 2, 0],
         [2, 1, 4, 0],
         [3, Fraction(3, 2), Fraction(19, 3), 1],
     ]
-    m, pivots = rref(rows)
+    m, pivots = echelon(rows)
     assert pivots == [0, 2]
-    assert m == [[1, Fraction(1, 2), 0, -6], [0, 0, 1, 3], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert m == [(2, 1, 0, -12), (0, 0, 1, 3)]
+    assert _types(m) == [[int] * 4] * 2
     assert kernel_basis(rows) == [(1, -2, 0, 0), (6, 0, -3, 1)]
 
 
@@ -531,6 +534,18 @@ def test_zero_vector_passes_through():
 def test_spiral_key_orders_by_abs_then_sign():
     seq = sorted([1, -1, 2, -2, 0], key=lambda c: spiral_key((c,)))
     assert seq == [0, 1, -1, 2, -2]
+
+
+def test_enum_key_is_the_key_of_the_canonical_vector():
+    # on primitive vectors of either sign, enum_key is the enumerators'
+    # (height, spiral-lex) key of the canonical vector, so sorting by it
+    # reproduces the enumeration order
+    vecs = list(iter_primitive_vectors(3, max_height=3))
+    signed = [tuple(-x for x in v) if i % 2 else v for i, v in enumerate(vecs)]
+    for v in signed:
+        c = canonical_vector(v)
+        assert enum_key(v) == (height(c), spiral_key(c))
+    assert [canonical_vector(v) for v in sorted(signed[::-1], key=enum_key)] == vecs
 
 
 def test_iter_integer_vectors_shells():

@@ -6,17 +6,18 @@ import random
 
 import pytest
 
-from nullcone.exactmath import kernel_basis
+from nullcone.exactmath import canonical_vector, kernel_basis
 from nullcone.nsring import (
     Divisor,
     IntersectionForm,
     LinearClass,
+    Point,
     nef_threshold,
     positivity_flags,
     validate_input,
 )
 
-from helpers import is_exact, key_shape_forms, random_form, nonzero_vector
+from helpers import is_exact, key_shape_forms, nonzero_vector, plant_null_form, random_form
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,37 @@ def test_numerical_dimension_ladder():
         assert nu == _brute_nu(form, d)
         seen.add(nu)
     assert seen == {0, 1, 2, 3}
+
+
+def test_point_answers_match_full_passes():
+    # a Point's cube, nu and T(p, p, y), read off its one tangent pass, equal
+    # the full-pass cube, numerical_dimension and triple: at planted null
+    # points of ranks 2-10 and their Fraction multiples, off-cubic integer and
+    # rational points, and ladder points of every nu
+    rng = random.Random(20)
+    cases = []
+    for n in range(2, 11):
+        for _ in range(2):
+            form, d = plant_null_form(rng, n, 4)
+            half = tuple(Fraction(c, 2) for c in d)
+            cases += [(form, p) for p in (d, half, nonzero_vector(rng, n, 3), _rational_vector(rng, n))]
+    cases += [_ladder_case(rng, trial % 4) for trial in range(40)]
+    seen = set()
+    for form, p in cases:
+        point = Point(form, p)
+        assert point.divisor == Divisor(p)
+        assert point.cube() == form.cube(p)
+        assert point.nu() == form.numerical_dimension(p)
+        assert is_exact(point.cube())
+        for y in (nonzero_vector(rng, form.rank, 3), _rational_vector(rng, form.rank), p):
+            assert point.triple(y) == form.triple(p, p, y)
+            assert is_exact(point.triple(y))
+        assert point.key == canonical_vector(p)
+        assert point.zeros == sum(c == 0 for c in p)
+        seen.add(point.nu())
+    assert seen == {0, 1, 2, 3}
+    with pytest.raises(ValueError, match="^D must be nonzero$"):
+        Point(cases[0][0], (0, 0), "D")
 
 
 def test_monomials_are_the_ordered_sum_coefficients():

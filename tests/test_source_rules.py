@@ -51,26 +51,35 @@ def test_denominators_are_cleared_in_one_place():
 
 def test_tangent_pass_runs_in_one_place():
     # T(x, x, -) is the one full pass that cube, nu and the tangent walk at a
-    # point all read; outside `nsring` it is made by `cubicchase.tangent_data`
-    # alone, so a second pass at the same point shows up here
+    # point all read; outside `nsring` it is made by building an
+    # `nsring.Point`, so a second pass at the same point shows up here
     found = []
     for path in SOURCES:
         if path.name == "nsring.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
-        if path.name == "cubicchase.py":
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name == "tangent_data":
-                    allowed = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_square"
-                and id(node) not in allowed
+                and node.func.attr in ("_square", "_nu")
             ):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_certify_calls_no_private_form_method():
+    # the pipeline reads the trilinear form through its public methods and
+    # `nsring.Point`, never through integer passes such as `_scaled`; only
+    # its own steps (`self._...`) are private calls
+    path = Path(nullcone.__file__).parent / "certify.py"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr.startswith("_")
+        and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "self")
+    ]
     assert found == []
 
 
