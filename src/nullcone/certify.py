@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cubicchase import _flex_value, _residual, chase, ternary_singular_point
-from .cubicfactor import FactorKind, expand_cubic, factor_over_Q
+from .cubicfactor import FactorKind, factor_cubic
 from .exactmath import (
     Rat,
     canonical_vector,
@@ -180,8 +180,7 @@ class _Pipeline:
         return self.finish(Conclusion.INPUT_INCONSISTENT, RULE_NONE)
 
     def _factorization(self):
-        cubic = expand_cubic(self.form)
-        fac = factor_over_Q(cubic, self.opts.seed)
+        fac = factor_cubic(self.form, self.opts.seed)
         self.check(
             "factor_kind", "factor_kind", _FACTOR_CODES[fac.kind], self.opts.seed
         )
@@ -460,7 +459,7 @@ def replay_check(form: IntersectionForm, c2: LinearClass, chk: Check) -> Rat:
             raise ValueError("discriminant is not a perfect square on replay")
         return s
     if op == "factor_kind":
-        fac = factor_over_Q(expand_cubic(form), int(args[0]))
+        fac = factor_cubic(form, int(args[0]))
         return _FACTOR_CODES[fac.kind]
     raise ValueError(f"unknown check op {op!r}")
 

@@ -23,7 +23,7 @@ from .certify import (
     certify,
 )
 from .cubicchase import chase, third_point_on_line
-from .cubicfactor import expand_cubic, factor_over_Q
+from .cubicfactor import factor_cubic
 from .exactmath import Rat, frac
 from .nsring import (
     Divisor,
@@ -330,7 +330,7 @@ def _cmd_analyze(args) -> int:
         f"c2.D: {rat_str(c2.pair(d))}",
         f"square_class(D): {_vec_str(form.square_class(d).coords)}",
     ]
-    fac = factor_over_Q(expand_cubic(form))
+    fac = factor_cubic(form)
     lines.append(f"cubic_factorization: {fac.kind.value}")
     if h is not None:
         flags = positivity_flags(form, d, h)
@@ -354,7 +354,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_factor(args) -> int:
     parsed = load_input(args.input)
-    fac = factor_over_Q(expand_cubic(parsed.form), args.seed)
+    fac = factor_cubic(parsed.form, args.seed)
     lines = [f"kind: {fac.kind.value}", f"scalar: {rat_str(fac.scalar)}"]
     for idx, lin in enumerate(fac.linears):
         lines.append(f"linear[{idx}]: {_vec_str(lin)}")

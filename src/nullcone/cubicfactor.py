@@ -1,13 +1,19 @@
 """Factorization of homogeneous cubics over the rationals.
 
-The cubic attached to intersection data is expanded exactly and split into
-linear and quadratic pieces when possible.  One linear-factor search, for
-forms of any degree, answers every factoring question: it splits a linear
-factor off the cubic, splits the quadric cofactor and splits a quadratic
-form.
+One linear-factor search, for forms of any degree, answers every factoring
+question: it splits a linear factor off the cubic, splits the quadric
+cofactor and splits a quadratic form.  Its anchor stage, the rational roots
+of the form on one coordinate line and the tangent hyperplane at each simple
+root, reads coefficients from one of two sources: a packed `Poly` or the
+intersection table.  So `factor_cubic` decides most irreducible cubics from
+the table alone: no root on the anchor line, or one point off the zero set
+of every candidate, proves that no linear factor exists.  The cubic attached
+to intersection data is expanded only when a candidate survives (or the
+anchor stage cannot run), and the search then goes on from the roots and
+candidates already found.
 
 The content is taken once, f = c F, as soon as a coordinate line has a
-root (no root depends on it), and everything after runs on the primitive
+root (no root depends on it), and the divisions run on the primitive
 integral F in ints.  Candidates are primitive, so by Gauss's lemma (S. Lang,
 Algebra, IV 2) a cofactor is integral and primitive.  Every factorization is
 re-expanded and compared against the input f before it is handed back.
@@ -71,6 +77,9 @@ class Factorization:
         return functools.reduce(operator.mul, factors)
 
 
+_IRREDUCIBLE = Factorization(FactorKind.IRREDUCIBLE, 1, (), None)
+
+
 def expand_cubic(form: IntersectionForm) -> Poly:
     """The cubic polynomial T(x, x, x) of the trilinear form, expanded."""
     u = unit_keys(form.rank)
@@ -130,26 +139,140 @@ def _vanishes_at(coeffs: list[Rat], s: Rat) -> bool:
     return sum(c * num**m * den ** (d - m) for m, c in enumerate(coeffs) if c) == 0
 
 
-def _tangent_hyperplane(f: Poly, p: int, a: int, d: int, t: Rat) -> tuple[int, ...]:
-    """The canonical gradient of the form f of degree d at P = num e_p + den e_a,
-    t = num / den, in ints for an integral f.
+class _PolyCoefficients:
+    """Coefficient lookups into a packed form f of degree d."""
+
+    def __init__(self, f: Poly, d: int):
+        self.packed, self.u, self.n, self.d = f.packed, unit_keys(f.nvars), f.nvars, d
+
+    def line(self, p: int, a: int) -> list:
+        """The coefficients of x_p^(d-k) x_a^k for k = 0..d: f on the line
+        through e_p and e_a, d + 1 lookups."""
+        u, d = self.u, self.d
+        return [self.packed.get((d - k) * u[p] + k * u[a], 0) for k in range(d + 1)]
+
+    def row(self, p: int, a: int, k: int) -> list:
+        """The coefficient of num^k den^(d-1-k) in d_i f(num e_p + den e_a),
+        for every i: that of x_p^k x_a^(d-1-k) x_i in f, times the exponent
+        of x_i there."""
+        u, d = self.u, self.d
+        base = k * u[p] + (d - 1 - k) * u[a]
+        get = self.packed.get
+        row = [get(base + ui, 0) for ui in u]
+        # d/dx_p and d/dx_a also bring down the exponent they lower
+        row[p] *= k + 1
+        row[a] *= d - k
+        return row
+
+
+class _TableCoefficients:
+    """The same lookups into the cubic T(x, x, x), off the intersection
+    table with no expansion: the coefficient of x_i x_j x_k is d_ijk times
+    the number of distinct orderings of ijk (1, 3 or 6), and
+    d_i T(x, x, x) = 3 T(x, x, e_i)."""
+
+    d = 3
+
+    def __init__(self, form: IntersectionForm):
+        self.entries, self.n = form.entries, form.rank
+
+    def line(self, p: int, a: int) -> list:
+        get = self.entries.get
+        return [
+            get((p, p, p), 0),
+            3 * get((p, p, a) if p < a else (a, p, p), 0),
+            3 * get((p, a, a) if p < a else (a, a, p), 0),
+            get((a, a, a), 0),
+        ]
+
+    def row(self, p: int, a: int, k: int) -> list:
+        """As `_PolyCoefficients.row`: d_i f(P) = 3 T(P, P, e_i) takes
+        num^k den^(2-k) d_xyi binomial(2, k) times, {x, y} = {p^k, a^(2-k)}."""
+        get = self.entries.get
+        x, y = sorted((p,) * k + (a,) * (2 - k))
+        m = 6 if k == 1 else 3
+        return [m * get((i, x, y) if i < x else (x, i, y) if i < y else (x, y, i), 0) for i in range(self.n)]
+
+
+def _tangent_hyperplane(coeffs, p: int, a: int, t: Rat) -> tuple[int, ...]:
+    """The canonical gradient at P = num e_p + den e_a, t = num / den, of the
+    form of degree d that `coeffs` reads, in ints for integral coefficients.
 
     Only x_p and x_a are nonzero at P, so d_i f(P) comes from the monomials
     x_p^k x_a^(d-1-k) x_i alone: d lookups per coordinate and no pass over f.
     """
-    n = f.nvars
-    u = unit_keys(n)
     num, den = t.numerator, t.denominator
-    grad = [0] * n
+    d = coeffs.d
+    grad = [0] * coeffs.n
     for k in range(d):
-        base = k * u[p] + (d - 1 - k) * u[a]
         w = num**k * den ** (d - 1 - k)
-        for i in range(n):
-            c = f.packed.get(base + u[i])
+        for i, c in enumerate(coeffs.row(p, a, k)):
             if c:
-                # d/dx_p and d/dx_a also bring down the exponent they lower
-                grad[i] += c * w * (k + 1 if i == p else d - k if i == a else 1)
+                grad[i] += c * w
     return canonical_vector(grad)
+
+
+class _Anchor:
+    """The anchor stage of the linear-factor search on a form f of degree d
+    in n > 1 variables with a nonzero x_p^d coefficient, read through one
+    coefficient source (`_PolyCoefficients` or `_TableCoefficients`).
+
+    Every linear factor l of f has l_p != 0, so it meets the anchor line
+    through e_p and e_a (a the first index other than p) at one point
+    P = num e_p + den e_a, t = num / den a root of h(s) = f(s e_p + e_a).  If
+    f = l r:
+    - at a simple root t, d_p f(P) = den^(d-1) h'(t) != 0, so P is a smooth
+      point, r(P) != 0 and grad f(P) = r(P) grad l: the tangent hyperplane at
+      P is the only candidate;
+    - r(P) = 0 makes t a multiple root of h, and only there does the search
+      read candidates off the coordinate lines (`_section_search`).
+    `roots` are h's rational roots with multiplicity, ascending.  `tangents`
+    holds the candidate at each simple root once made, by position in
+    `roots`, and `refuted` the candidates `refute` has ruled out.
+    """
+
+    def __init__(self, coeffs, p: int):
+        self.coeffs, self.p = coeffs, p
+        self.a = 1 if p == 0 else 0
+        self.roots = rational_roots(coeffs.line(p, self.a))
+        self.tangents: dict[int, tuple[int, ...]] = {}
+        self.refuted: set[tuple[int, ...]] = set()
+
+    def candidates(self):
+        """(t, l) for each distinct root t, ascending: l the tangent
+        hyperplane at a simple root, None at a multiple root.  A refuted
+        candidate is skipped."""
+        roots = self.roots
+        for k, t in enumerate(roots):
+            if k and roots[k - 1] == t:
+                continue
+            if roots.count(t) > 1:
+                yield t, None
+                continue
+            l = self.tangents.get(k)
+            if l is None:
+                l = self.tangents[k] = _tangent_hyperplane(self.coeffs, self.p, self.a, t)
+            if l not in self.refuted:
+                yield t, l
+
+    def refute(self, l: tuple[int, ...]) -> bool:
+        """Whether l, the candidate at a simple root, misses a point Q of
+        {l = 0}, f(Q) != 0, which proves that l does not divide f: l | f
+        forces f to vanish on {l = 0}.  Q = -l_j e_p + l_p e_j for the first
+        index j outside {p, a} (n > 2), and f(Q) takes d + 1 lookups; l_p
+        != 0, so Q != 0."""
+        p = self.p
+        j = 2 if p < 2 else 1
+        x, y = -l[j], l[p]
+        # f(Q) = sum_m c_m x^(d-m) y^m, by Horner in x
+        value, y_pow = 0, 1
+        for c in self.coeffs.line(p, j):
+            value = value * x + c * y_pow
+            y_pow *= y
+        if not value:
+            return False
+        self.refuted.add(l)
+        return True
 
 
 def _section_search(
@@ -181,43 +304,38 @@ def _section_search(
     return None
 
 
-def _linear_factor_with_pivot(f: Poly, p: int, d: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
+def _linear_factor_with_pivot(
+    f: Poly, p: int, d: int, anchor: _Anchor | None = None
+) -> tuple[Rat, tuple[int, ...], Poly] | None:
     """(c, l, q) with f = c l q, l a linear factor with a nonzero x_p
     coefficient and l, q primitive integral forms; or None.
 
-    f is a form of degree d with a nonzero x_p^d coefficient, so every linear
-    factor l has l_p != 0 and meets the anchor line x_p, x_a (a != p) at one
-    point P = num e_p + den e_a, t1 = num / den a root of the anchor
-    polynomial h(s) = f(s e_p + e_a).  If f = l r:
-    - at a simple root t1, d_p f(P) = den^(d-1) h'(t1) != 0, so P is a smooth
-      point, r(P) != 0 and grad f(P) = r(P) grad l: the tangent hyperplane at
-      P is the only candidate;
-    - r(P) = 0 makes t1 a multiple root of h, and only there does the search
-      read candidate coefficients off the rational roots on every coordinate
-      line of x_p and x_i (a factor x_p + b x_i + ... restricts to x_p + b
-      x_i there, so -b is a root of sum_k c_k t^(d-k), c_k the coefficient of
-      x_p^(d-k) x_i^k).
-    No root depends on the content c of f, so c is taken only once the anchor
+    f is a form of degree d with a nonzero x_p^d coefficient.  The anchor
+    stage (`_Anchor`) is read off f unless one made from the same
+    coefficients is handed in.  A simple root is decided by one division by
+    its tangent hyperplane.  At a multiple root the candidates' coefficients
+    are read off the rational roots on every coordinate line of x_p and x_i
+    (a factor x_p + b x_i + ... restricts to x_p + b x_i there, so -b is a
+    root of sum_k c_k t^(d-k), c_k the coefficient of x_p^(d-k) x_i^k).  No
+    root depends on the content c of f, so c is taken only once the anchor
     line has a root.
     """
     n = f.nvars
     if n == 1:
         content, f = primitive_part(f)
         return (content, *_divided(f, (1,)))
-    # anchor on the first variable a other than p: an irreducible form
-    # seldom has a root on that line, and d + 1 coefficient lookups decide it
-    # before any pass over f
-    a = 1 if p == 0 else 0
-    u = unit_keys(n)
-    anchor_line = [f.packed.get((d - k) * u[p] + k * u[a], 0) for k in range(d + 1)]
-    anchor_roots = rational_roots(anchor_line)
-    if not anchor_roots:
+    # an irreducible form seldom has a root on the anchor line, and d + 1
+    # coefficient lookups decide it before any pass over f
+    if anchor is None:
+        anchor = _Anchor(_PolyCoefficients(f, d), p)
+    if not anchor.roots:
         return None
+    a = anchor.a
     content, f = primitive_part(f)
     root_sets = planes = None
-    for t1 in sorted(set(anchor_roots)):
-        if anchor_roots.count(t1) == 1:
-            found = _divided(f, _tangent_hyperplane(f, p, a, d, t1))
+    for t1, l in anchor.candidates():
+        if l is not None:
+            found = _divided(f, l)
         else:
             if root_sets is None:
                 # built once, at the first multiple root; a line with no
@@ -309,19 +427,25 @@ def factor_quadratic_form(q: QuadraticForm):
     return None if split is None else (split[0], split[1], content * split[2])
 
 
-def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
+def factor_over_Q(f: Poly, seed: int = 0, anchor: _Anchor | None = None) -> Factorization:
     """Full factorization of a homogeneous cubic over the rationals.
 
     The seed only rotates which pivot variable is preferred; the factor set
-    is seed-independent and the output ordering is canonical.
+    is seed-independent and the output ordering is canonical.  `anchor` is
+    the anchor stage `factor_cubic` ran on the intersection table of f, on
+    the pivot `_find_linear_factor` would choose, so its roots and
+    candidates are not found again.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero cubic")
     if not f.is_homogeneous(3):
         raise ValueError("input must be a homogeneous cubic")
-    found = _find_linear_factor(f, 3, seed)
+    if anchor is None:
+        found = _find_linear_factor(f, 3, seed)
+    else:
+        found = _linear_factor_with_pivot(f, anchor.p, 3, anchor)
     if found is None:
-        return Factorization(FactorKind.IRREDUCIBLE, 1, (), None)
+        return _IRREDUCIBLE
     scalar, lin, prim = found
     # prim is primitive (Gauss's lemma): only its sign is left to normalize
     if prim.packed[max(prim.packed)] < 0:
@@ -349,3 +473,25 @@ def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
     if out.reconstruct(f.nvars) != f:
         raise AssertionError("factorization failed re-expansion check")
     return out
+
+
+def factor_cubic(form: IntersectionForm, seed: int = 0) -> Factorization:
+    """`factor_over_Q(expand_cubic(form), seed)`, decided on the table first.
+
+    With a pivot d_ppp != 0 (chosen as `factor_over_Q` chooses it) and rank
+    at least 3, the anchor stage reads the table: a cubic with no root on
+    the anchor line, or with each root simple and its tangent hyperplane
+    refuted by one point, is irreducible and is never expanded.  Otherwise
+    (a multiple root, a candidate that survives, no d_iii, rank below 3) the
+    cubic is expanded once and the search goes on from the anchor stage.
+    """
+    if not form.entries:
+        raise ValueError("cannot factor the zero cubic")
+    n = form.rank
+    pivots = [i for i in range(n) if (i, i, i) in form.entries]
+    anchor = None
+    if pivots and n > 2:
+        anchor = _Anchor(_TableCoefficients(form), pivots[seed % len(pivots)])
+        if all(l is not None and anchor.refute(l) for _, l in anchor.candidates()):
+            return _IRREDUCIBLE
+    return factor_over_Q(expand_cubic(form), seed, anchor)

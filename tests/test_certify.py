@@ -419,6 +419,42 @@ def test_planted_reducible_factor_search_stays_on_the_tangent_hyperplane(monkeyp
     assert searched < 0.05 * total, f"section search on {searched} of {total} inputs"
 
 
+def test_cubic_is_expanded_only_when_a_candidate_factor_survives(monkeypatch):
+    # an irreducible cubic is decided on the intersection table (no root on
+    # the anchor line, or a refutation point off each tangent hyperplane);
+    # a split one is expanded once per factorization, in certify and in
+    # replay alike
+    expansions = []
+    real_expand = cubicfactor.expand_cubic
+
+    def counted(form):
+        expansions.append(form)
+        return real_expand(form)
+
+    monkeypatch.setattr(cubicfactor, "expand_cubic", counted)
+
+    def run(name_or_case):
+        if isinstance(name_or_case, str):
+            parsed = parse_input(load_fixture(name_or_case))
+            name_or_case = (parsed.form, parsed.c2, parsed.divisors["D"])
+        form, c2, d = name_or_case
+        cert = certify(form, c2, d)
+        assert replay(form, c2, cert)
+        # certify and replay each factor once per recorded factor_kind check
+        factorizations = 2 * sum(chk.op == "factor_kind" for chk in cert.trace)
+        assert factorizations
+        return factorizations
+
+    rng = random.Random(40)
+    form, d = plant_null_form(rng, 40, 4)
+    dense = (form, annihilator_c2(rng, d, form.square_class(d).coords), d)
+    for case in ("b4_diagonal_irreducible", "b5_diagonal_irreducible", dense):
+        run(case)
+    assert expansions == []
+    factorizations = run("b5_split_isotropic")
+    assert len(expansions) == factorizations
+
+
 def test_semiprime_pure_powers_factor_only_the_anchor_line(monkeypatch):
     # four pure-power coefficients p q with 30-bit primes, and d_011 putting
     # D = (1, -1, 0, 0) on the cubic: the anchor line's root -1 is simple, so

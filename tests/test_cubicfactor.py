@@ -14,6 +14,7 @@ from nullcone.cubicfactor import (
     _coordinate_sections,
     _vanishes_at,
     expand_cubic,
+    factor_cubic,
     factor_over_Q,
     factor_quadratic_form,
 )
@@ -29,15 +30,18 @@ from nullcone.exactmath import (
     primitive_vector,
     spiral_key,
 )
+from nullcone.cli import fixture_names, load_fixture, parse_input
 from nullcone.nsring import IntersectionForm
 from nullcone.quadpoints import QuadraticForm
 
 from helpers import (
     SECTION_DECOY_CUBIC,
     det,
+    form_of_cubic,
     is_exact,
     key_shape_forms,
     nonzero_vector,
+    plant_reducible_form,
     random_form,
     random_gram,
     random_linear_poly,
@@ -192,6 +196,56 @@ def test_factor_seed_invariant_result():
     assert decoy.linears == ((7, -9, 7),) and decoy.scalar == -1
     binary = factor_over_Q(cases[-1][0])
     assert binary.linears == ((0, 1), (1, 0), (1, -1)) and binary.scalar == 1
+
+
+def _differential_corpus(rng) -> list[IntersectionForm]:
+    """Forms for every path of factor_cubic: dense and sparse random forms at
+    ranks 1-8; forms with no d_iii (the shear path); L^2 L' and L^3 cubics,
+    whose anchor roots are multiple; planted 6 L Q and three-linear forms;
+    an irreducible form whose candidate survives its refutation point; and
+    the bundled fixtures."""
+    forms = []
+    for n in range(1, 9):
+        for _ in range(3):
+            forms.append(random_form(rng, n, 3))
+            sparse = {
+                tuple(sorted(rng.randrange(n) for _ in range(3))): rng.choice((-1, 1)) * rng.randint(1, 4)
+                for _ in range(n + 1)
+            }
+            forms.append(IntersectionForm(n, sparse))
+            no_pure = {k: v for k, v in random_form(rng, n, 3).entries.items() if len(set(k)) > 1}
+            if no_pure:
+                forms.append(IntersectionForm(n, no_pure))
+        l1, l2, l3 = (random_linear_poly(rng, n, 2) for _ in range(3))
+        forms.append(form_of_cubic(l1 * l1 * l2))
+        forms.append(form_of_cubic(l1 * l1 * l1))
+        forms.append(form_of_cubic(l1 * l2 * l3))
+        if n >= 2:
+            forms.append(plant_reducible_form(rng, n)[0])
+    # irreducible, and the candidate x0 at the simple root e1 survives its
+    # refutation point e2 (no x2^3 term) but does not divide
+    forms.append(IntersectionForm(3, {(0, 0, 0): -1, (0, 1, 1): 1, (0, 1, 2): -2, (1, 2, 2): 1}))
+    forms.extend(parse_input(load_fixture(name)).form for name in fixture_names())
+    return forms
+
+
+def test_factor_cubic_matches_factor_over_Q_of_the_expansion():
+    # deciding on the table first changes no answer: the same kind, scalar,
+    # linears and quadric as the search on the expanded cubic, at every seed
+    rng = random.Random(2024)
+    for form in _differential_corpus(rng):
+        for seed in range(3):
+            got = factor_cubic(form, seed)
+            want = factor_over_Q(expand_cubic(form), seed)
+            assert (got.kind, got.scalar, got.linears, got.quadric) == (
+                want.kind, want.scalar, want.linears, want.quadric
+            ), (form.entries, seed)
+    zero = IntersectionForm(3, {})
+    with pytest.raises(ValueError) as got:
+        factor_cubic(zero)
+    with pytest.raises(ValueError) as want:
+        factor_over_Q(expand_cubic(zero))
+    assert str(got.value) == str(want.value)
 
 
 def _x0_linear(rng, n: int, point=None) -> tuple[int, ...]:

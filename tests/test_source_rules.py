@@ -67,6 +67,21 @@ def test_tangent_pass_runs_in_one_place():
     assert found == []
 
 
+def test_cubic_is_expanded_in_one_place():
+    # `cubicfactor.factor_cubic` decides irreducibility on the intersection
+    # table and expands the cubic only when a candidate factor survives; a
+    # caller that expands first pays O(entries) on every irreducible input
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "cubicfactor.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "expand_cubic"
+    ]
+    assert found == []
+
+
 def test_certify_calls_no_private_form_method():
     # the pipeline reads the trilinear form through its public methods and
     # `nsring.Point`, never through integer passes such as `_scaled`; only
