@@ -31,6 +31,7 @@ from .cubicfactor import (
     FactorKind,
     Factorization,
     expand_cubic,
+    factor_cubic,
     factor_over_Q,
     factor_quadratic_form,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "chase",
     "exact_divide",
     "expand_cubic",
+    "factor_cubic",
     "factor_over_Q",
     "factor_quadratic_form",
     "hilbert_symbol",

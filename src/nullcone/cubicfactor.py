@@ -2,20 +2,20 @@
 
 One linear-factor search, for forms of any degree, answers every factoring
 question: it splits a linear factor off the cubic, splits the quadric
-cofactor and splits a quadratic form.  Its anchor stage, the rational roots
-of the form on one coordinate line and the tangent hyperplane at each simple
-root, reads coefficients from one of two sources: a packed `Poly` or the
-intersection table.  So `factor_cubic` decides most irreducible cubics from
-the table alone: no root on the anchor line, or one point off the zero set
-of every candidate, proves that no linear factor exists.  The cubic attached
-to intersection data is expanded only when a candidate survives (or the
-anchor stage cannot run), and the search then goes on from the roots and
-candidates already found.
+cofactor and splits a quadratic form.  It reads the form through a
+coefficient source, a packed `Poly` or, for the cubic T(x, x, x), the
+intersection table itself, and runs the same steps on both: the rational
+roots of the form on one coordinate line, the tangent hyperplane at each
+simple root, and one point off the zero set of each such candidate.  No
+root, or every candidate refuted by its point, proves that no linear factor
+exists; so `factor_cubic` decides most irreducible cubics from the table,
+and the table source expands the cubic only when a candidate has to be
+divided.
 
-The content is taken once, f = c F, as soon as a coordinate line has a
-root (no root depends on it), and the divisions run on the primitive
-integral F in ints.  Candidates are primitive, so by Gauss's lemma (S. Lang,
-Algebra, IV 2) a cofactor is integral and primitive.  Every factorization is
+The content is taken once, f = c F, when the search first needs f itself
+(no root depends on it), and the divisions run on the primitive integral F
+in ints.  Candidates are primitive, so by Gauss's lemma (S. Lang, Algebra,
+IV 2) a cofactor is integral and primitive.  Every factorization is
 re-expanded and compared against the input f before it is handed back.
 """
 from __future__ import annotations
@@ -143,7 +143,15 @@ class _PolyCoefficients:
     """Coefficient lookups into a packed form f of degree d."""
 
     def __init__(self, f: Poly, d: int):
-        self.packed, self.u, self.n, self.d = f.packed, unit_keys(f.nvars), f.nvars, d
+        self.f, self.packed, self.u, self.n, self.d = f, f.packed, unit_keys(f.nvars), f.nvars, d
+
+    def pivots(self) -> list[int]:
+        """The i with a pure power x_i^d in f, ascending."""
+        # the pure power x_i^d has the key d u_i
+        return [i for i, ui in enumerate(self.u) if self.d * ui in self.packed]
+
+    def poly(self) -> Poly:
+        return self.f
 
     def line(self, p: int, a: int) -> list:
         """The coefficients of x_p^(d-k) x_a^k for k = 0..d: f on the line
@@ -174,7 +182,18 @@ class _TableCoefficients:
     d = 3
 
     def __init__(self, form: IntersectionForm):
-        self.entries, self.n = form.entries, form.rank
+        self.form, self.entries, self.n = form, form.entries, form.rank
+        self._poly: Poly | None = None
+
+    def pivots(self) -> list[int]:
+        return [i for i in range(self.n) if (i, i, i) in self.entries]
+
+    def poly(self) -> Poly:
+        """T(x, x, x), expanded on the first call: the search asks for it
+        only to divide, so an irreducible cubic is seldom expanded."""
+        if self._poly is None:
+            self._poly = expand_cubic(self.form)
+        return self._poly
 
     def line(self, p: int, a: int) -> list:
         get = self.entries.get
@@ -212,67 +231,20 @@ def _tangent_hyperplane(coeffs, p: int, a: int, t: Rat) -> tuple[int, ...]:
     return canonical_vector(grad)
 
 
-class _Anchor:
-    """The anchor stage of the linear-factor search on a form f of degree d
-    in n > 1 variables with a nonzero x_p^d coefficient, read through one
-    coefficient source (`_PolyCoefficients` or `_TableCoefficients`).
-
-    Every linear factor l of f has l_p != 0, so it meets the anchor line
-    through e_p and e_a (a the first index other than p) at one point
-    P = num e_p + den e_a, t = num / den a root of h(s) = f(s e_p + e_a).  If
-    f = l r:
-    - at a simple root t, d_p f(P) = den^(d-1) h'(t) != 0, so P is a smooth
-      point, r(P) != 0 and grad f(P) = r(P) grad l: the tangent hyperplane at
-      P is the only candidate;
-    - r(P) = 0 makes t a multiple root of h, and only there does the search
-      read candidates off the coordinate lines (`_section_search`).
-    `roots` are h's rational roots with multiplicity, ascending.  `tangents`
-    holds the candidate at each simple root once made, by position in
-    `roots`, and `refuted` the candidates `refute` has ruled out.
-    """
-
-    def __init__(self, coeffs, p: int):
-        self.coeffs, self.p = coeffs, p
-        self.a = 1 if p == 0 else 0
-        self.roots = rational_roots(coeffs.line(p, self.a))
-        self.tangents: dict[int, tuple[int, ...]] = {}
-        self.refuted: set[tuple[int, ...]] = set()
-
-    def candidates(self):
-        """(t, l) for each distinct root t, ascending: l the tangent
-        hyperplane at a simple root, None at a multiple root.  A refuted
-        candidate is skipped."""
-        roots = self.roots
-        for k, t in enumerate(roots):
-            if k and roots[k - 1] == t:
-                continue
-            if roots.count(t) > 1:
-                yield t, None
-                continue
-            l = self.tangents.get(k)
-            if l is None:
-                l = self.tangents[k] = _tangent_hyperplane(self.coeffs, self.p, self.a, t)
-            if l not in self.refuted:
-                yield t, l
-
-    def refute(self, l: tuple[int, ...]) -> bool:
-        """Whether l, the candidate at a simple root, misses a point Q of
-        {l = 0}, f(Q) != 0, which proves that l does not divide f: l | f
-        forces f to vanish on {l = 0}.  Q = -l_j e_p + l_p e_j for the first
-        index j outside {p, a} (n > 2), and f(Q) takes d + 1 lookups; l_p
-        != 0, so Q != 0."""
-        p = self.p
-        j = 2 if p < 2 else 1
-        x, y = -l[j], l[p]
-        # f(Q) = sum_m c_m x^(d-m) y^m, by Horner in x
-        value, y_pow = 0, 1
-        for c in self.coeffs.line(p, j):
-            value = value * x + c * y_pow
-            y_pow *= y
-        if not value:
-            return False
-        self.refuted.add(l)
-        return True
+def _refuted(coeffs, p: int, l: tuple[int, ...]) -> bool:
+    """Whether f misses a point Q of {l = 0}, f(Q) != 0, which proves that
+    l does not divide the form f of degree d that `coeffs` reads: l | f
+    forces f to vanish on {l = 0}.  Q = -l_j e_p + l_p e_j for the first
+    index j outside {p, a} (so f has n > 2 variables), and f(Q) takes d + 1
+    lookups; l_p != 0, so Q != 0."""
+    j = 2 if p < 2 else 1
+    x, y = -l[j], l[p]
+    # f(Q) = sum_m c_m x^(d-m) y^m, by Horner in x
+    value, y_pow = 0, 1
+    for c in coeffs.line(p, j):
+        value = value * x + c * y_pow
+        y_pow *= y
+    return value != 0
 
 
 def _section_search(
@@ -304,37 +276,45 @@ def _section_search(
     return None
 
 
-def _linear_factor_with_pivot(
-    f: Poly, p: int, d: int, anchor: _Anchor | None = None
-) -> tuple[Rat, tuple[int, ...], Poly] | None:
+def _linear_factor_with_pivot(coeffs, p: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
     """(c, l, q) with f = c l q, l a linear factor with a nonzero x_p
     coefficient and l, q primitive integral forms; or None.
 
-    f is a form of degree d with a nonzero x_p^d coefficient.  The anchor
-    stage (`_Anchor`) is read off f unless one made from the same
-    coefficients is handed in.  A simple root is decided by one division by
-    its tangent hyperplane.  At a multiple root the candidates' coefficients
-    are read off the rational roots on every coordinate line of x_p and x_i
-    (a factor x_p + b x_i + ... restricts to x_p + b x_i there, so -b is a
-    root of sum_k c_k t^(d-k), c_k the coefficient of x_p^(d-k) x_i^k).  No
-    root depends on the content c of f, so c is taken only once the anchor
-    line has a root.
+    f is the form of degree d that `coeffs` reads, with a nonzero x_p^d
+    coefficient.  Every linear factor l of f has l_p != 0, so it meets the
+    anchor line through e_p and e_a (a the first index other than p) at one
+    point P = num e_p + den e_a, t = num / den a root of h(s) = f(s e_p +
+    e_a).  If f = l r:
+    - at a simple root t, d_p f(P) = den^(d-1) h'(t) != 0, so P is a smooth
+      point, r(P) != 0 and grad f(P) = r(P) grad l: the tangent hyperplane at
+      P is the only candidate.  From three variables on it is divided only
+      when f vanishes at its refutation point (`_refuted`).
+    - r(P) = 0 makes t a multiple root of h, and only there does the search
+      read candidates off the rational roots on every coordinate line of x_p
+      and x_i (a factor x_p + b x_i + ... restricts to x_p + b x_i there, so
+      -b is a root of sum_k c_k t^(d-k), c_k the coefficient of x_p^(d-k)
+      x_i^k; `_section_search`).
+    f itself is asked of `coeffs` only for a division or a section search,
+    and its content c is taken then: no root depends on it.
     """
-    n = f.nvars
+    n, d = coeffs.n, coeffs.d
     if n == 1:
-        content, f = primitive_part(f)
+        content, f = primitive_part(coeffs.poly())
         return (content, *_divided(f, (1,)))
+    a = 1 if p == 0 else 0
     # an irreducible form seldom has a root on the anchor line, and d + 1
     # coefficient lookups decide it before any pass over f
-    if anchor is None:
-        anchor = _Anchor(_PolyCoefficients(f, d), p)
-    if not anchor.roots:
-        return None
-    a = anchor.a
-    content, f = primitive_part(f)
-    root_sets = planes = None
-    for t1, l in anchor.candidates():
-        if l is not None:
+    roots = rational_roots(coeffs.line(p, a))
+    f = root_sets = planes = None
+    for t in sorted(set(roots)):
+        simple = roots.count(t) == 1
+        if simple:
+            l = _tangent_hyperplane(coeffs, p, a, t)
+            if n > 2 and _refuted(coeffs, p, l):
+                continue
+        if f is None:
+            content, f = primitive_part(coeffs.poly())
+        if simple:
             found = _divided(f, l)
         else:
             if root_sets is None:
@@ -342,38 +322,38 @@ def _linear_factor_with_pivot(
                 # root rules out every linear factor
                 lines, planes = _coordinate_sections(f, p, a, d)
                 root_sets = []
-                for i, coeffs in lines.items():
-                    roots = sorted(set(rational_roots(coeffs)))
-                    if not roots:
+                for i, line in lines.items():
+                    line_roots = sorted(set(rational_roots(line)))
+                    if not line_roots:
                         return None
-                    root_sets.append((i, roots))
-            found = _section_search(f, p, a, t1, root_sets, planes)
+                    root_sets.append((i, line_roots))
+            found = _section_search(f, p, a, t, root_sets, planes)
         if found is not None:
             return (content, *found)
     return None
 
 
-def _find_linear_factor(f: Poly, d: int, seed: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
+def _find_linear_factor(coeffs, seed: int) -> tuple[Rat, tuple[int, ...], Poly] | None:
     """(c, l, q) with f = c l q for a canonical linear factor l of the nonzero
-    form f of degree d, l and q primitive integral forms; or None.
+    form f of degree d that `coeffs` reads, l and q primitive integral forms;
+    or None.  Every factoring question comes here, whatever the source.
 
     None is a proof: a simple anchor root carries no factor but its tangent
-    hyperplane (smooth point, grad f = r grad l), and a multiple one is
-    searched on every coordinate line, so each linear factor is tried at the
-    root where it meets the anchor line.  With a pure power x_p^d in f the
-    search runs on f's packed keys alone.  Without one, the shear below
-    evaluates f and substitutes into it, which decodes each of f's keys into
-    its variables once per call."""
-    n = f.nvars
-    u = unit_keys(n)
-    # the pure power x_i^d has the key d u_i
-    pivots = [i for i in range(n) if d * u[i] in f.packed]
+    hyperplane (smooth point, grad f = r grad l), which is refuted only at a
+    point where f does not vanish, and a multiple one is searched on every
+    coordinate line, so each linear factor is tried at the root where it
+    meets the anchor line.  The pivot is the `seed`-th i with a pure power
+    x_i^d in f.  Without one, the shear below asks for f, evaluates it and
+    substitutes into it, which decodes each of f's keys into its variables
+    once per call, and searches the sheared form."""
+    pivots = coeffs.pivots()
     if pivots:
-        return _linear_factor_with_pivot(f, pivots[seed % len(pivots)], d)
+        return _linear_factor_with_pivot(coeffs, pivots[seed % len(pivots)])
+    n, d = coeffs.n, coeffs.d
     # no pure power: shear x_i -> x_i + c_i x_p for a point c with c_p = 1
     # and f(c) != 0, which is the x_p^d coefficient of the sheared form; the
     # shear is unimodular, so the primitive f shears to a primitive form
-    content, f = primitive_part(f)
+    content, f = primitive_part(coeffs.poly())
     # a variable occurs in f exactly when its field is nonzero in the OR of
     # all keys
     joint = functools.reduce(operator.or_, f.packed)
@@ -385,7 +365,7 @@ def _find_linear_factor(f: Poly, d: int, seed: int) -> tuple[Rat, tuple[int, ...
             break
     x_p = Poly.variable(n, p)
     images = [x_p if i == p else Poly.variable(n, i) + c * x_p for i, c in enumerate(point)]
-    found = _linear_factor_with_pivot(f.substitute(images), p, d)
+    found = _linear_factor_with_pivot(_PolyCoefficients(f.substitute(images), d), p)
     if found is None:
         return None
     w = list(found[1])
@@ -400,7 +380,7 @@ def _split_quadric(q: Poly) -> tuple[tuple[int, ...], tuple[int, ...], int] | No
     """(l1, l2, sign) with q = sign * l1 * l2 for a primitive integral
     quadratic form q (l1 l2 is primitive too), the l_i canonical and
     (height, spiral)-sorted, or None when q is irreducible over Q."""
-    found = _find_linear_factor(q, 2, 0)
+    found = _find_linear_factor(_PolyCoefficients(q, 2), 0)
     if found is None:
         return None
     _, l1, cof = found
@@ -427,25 +407,14 @@ def factor_quadratic_form(q: QuadraticForm):
     return None if split is None else (split[0], split[1], content * split[2])
 
 
-def factor_over_Q(f: Poly, seed: int = 0, anchor: _Anchor | None = None) -> Factorization:
-    """Full factorization of a homogeneous cubic over the rationals.
-
-    The seed only rotates which pivot variable is preferred; the factor set
-    is seed-independent and the output ordering is canonical.  `anchor` is
-    the anchor stage `factor_cubic` ran on the intersection table of f, on
-    the pivot `_find_linear_factor` would choose, so its roots and
-    candidates are not found again.
-    """
-    if f.is_zero:
-        raise ValueError("cannot factor the zero cubic")
-    if not f.is_homogeneous(3):
-        raise ValueError("input must be a homogeneous cubic")
-    if anchor is None:
-        found = _find_linear_factor(f, 3, seed)
-    else:
-        found = _linear_factor_with_pivot(f, anchor.p, 3, anchor)
+def _factorization(coeffs, found: tuple[Rat, tuple[int, ...], Poly] | None) -> Factorization:
+    """The factorization of the cubic f that `coeffs` reads, given what
+    `_find_linear_factor` found on it: (c, l, q) with f = c l q, or None for
+    an irreducible f.  q is split, the kind read off and the product
+    re-expanded against f."""
     if found is None:
         return _IRREDUCIBLE
+    f = coeffs.poly()
     scalar, lin, prim = found
     # prim is primitive (Gauss's lemma): only its sign is left to normalize
     if prim.packed[max(prim.packed)] < 0:
@@ -475,23 +444,27 @@ def factor_over_Q(f: Poly, seed: int = 0, anchor: _Anchor | None = None) -> Fact
     return out
 
 
-def factor_cubic(form: IntersectionForm, seed: int = 0) -> Factorization:
-    """`factor_over_Q(expand_cubic(form), seed)`, decided on the table first.
+def factor_over_Q(f: Poly, seed: int = 0) -> Factorization:
+    """Full factorization of a homogeneous cubic over the rationals.
 
-    With a pivot d_ppp != 0 (chosen as `factor_over_Q` chooses it) and rank
-    at least 3, the anchor stage reads the table: a cubic with no root on
-    the anchor line, or with each root simple and its tangent hyperplane
-    refuted by one point, is irreducible and is never expanded.  Otherwise
-    (a multiple root, a candidate that survives, no d_iii, rank below 3) the
-    cubic is expanded once and the search goes on from the anchor stage.
+    The seed only rotates which pivot variable is preferred; the factor set
+    is seed-independent and the output ordering is canonical.
+    """
+    if f.is_zero:
+        raise ValueError("cannot factor the zero cubic")
+    if not f.is_homogeneous(3):
+        raise ValueError("input must be a homogeneous cubic")
+    coeffs = _PolyCoefficients(f, 3)
+    return _factorization(coeffs, _find_linear_factor(coeffs, seed))
+
+
+def factor_cubic(form: IntersectionForm, seed: int = 0) -> Factorization:
+    """`factor_over_Q(expand_cubic(form), seed)`, by the same search on the
+    intersection table: the cubic is expanded only when a candidate factor
+    survives its refutation point (or the shear or a section search needs
+    it), so most irreducible cubics are decided from a few table lookups.
     """
     if not form.entries:
         raise ValueError("cannot factor the zero cubic")
-    n = form.rank
-    pivots = [i for i in range(n) if (i, i, i) in form.entries]
-    anchor = None
-    if pivots and n > 2:
-        anchor = _Anchor(_TableCoefficients(form), pivots[seed % len(pivots)])
-        if all(l is not None and anchor.refute(l) for _, l in anchor.candidates()):
-            return _IRREDUCIBLE
-    return factor_over_Q(expand_cubic(form), seed, anchor)
+    coeffs = _TableCoefficients(form)
+    return _factorization(coeffs, _find_linear_factor(coeffs, seed))

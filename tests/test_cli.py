@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+import nullcone
 from nullcone.certify import Assumptions
 from nullcone.cli import (
     InputError,
@@ -286,6 +287,8 @@ def test_factor_subcommand(capsys):
     assert "kind: linear_times_quadric" in out
     assert "linear[0]: (1, 0, 0, 0, 0)" in out
     assert "quadric_gram[4]: (0, 0, 0, 0, -1)" in out
+    # the subcommand's factorization is the package's public one
+    assert nullcone.factor_cubic is nullcone.cubicfactor.factor_cubic
 
 
 def test_qpoint_isotropic(capsys):

@@ -248,6 +248,52 @@ def test_factor_cubic_matches_factor_over_Q_of_the_expansion():
     assert str(got.value) == str(want.value)
 
 
+def test_candidates_are_refuted_before_a_division_on_both_sources(monkeypatch):
+    # the table and the expanded cubic take one search: a tangent hyperplane
+    # is divided only when the cubic vanishes at its refutation point, and
+    # the table cubic is expanded only for a division
+    divisions, expansions = [], []
+    real_divided, real_expand = cubicfactor._divided, cubicfactor.expand_cubic
+
+    def divided(f, cand):
+        divisions.append(cand)
+        return real_divided(f, cand)
+
+    def expand(form):
+        expansions.append(form)
+        return real_expand(form)
+
+    monkeypatch.setattr(cubicfactor, "_divided", divided)
+    monkeypatch.setattr(cubicfactor, "expand_cubic", expand)
+
+    def counts(form):
+        """Divisions made by factor_cubic and by factor_over_Q of the
+        expansion, and expansions made by factor_cubic."""
+        divisions.clear()
+        expansions.clear()
+        got = factor_cubic(form)
+        table, expanded = len(divisions), len(expansions)
+        poly = real_expand(form)
+        divisions.clear()
+        assert factor_over_Q(poly) == got
+        return table, len(divisions), expanded
+
+    # the anchor root -1 is simple and its candidate x0 + x1 is refuted at e2
+    b4 = parse_input(load_fixture("b4_diagonal_irreducible")).form
+    assert factor_cubic(b4).kind is FactorKind.IRREDUCIBLE
+    assert counts(b4) == (0, 0, 0)
+    # x0 at the simple root e1 survives its point e2 but does not divide
+    survivor = IntersectionForm(3, {(0, 0, 0): -1, (0, 1, 1): 1, (0, 1, 2): -2, (1, 2, 2): 1})
+    assert factor_cubic(survivor).kind is FactorKind.IRREDUCIBLE
+    assert counts(survivor) == (1, 1, 1)
+    # x0^3 + 3 x0 x1^2 + 2 x1^3 has no rational root on either anchor line
+    binary = IntersectionForm(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 1, 1): 2})
+    for seed in (0, 1):
+        expansions.clear()
+        assert factor_cubic(binary, seed).kind is FactorKind.IRREDUCIBLE
+        assert expansions == []
+
+
 def _x0_linear(rng, n: int, point=None) -> tuple[int, ...]:
     """A random integer linear form with a nonzero x0 coefficient, vanishing
     at the point num e_0 + den e_1 when point = (num, den) is given."""

@@ -110,3 +110,46 @@ def test_secant_formula_runs_in_one_place():
                 for n in ast.walk(node)
             )
     assert callers == {"sample_points": True, "second_intersection": True}
+
+
+def _names_private_type(annotation) -> bool:
+    """Whether an annotation names a `_`-prefixed type, also inside a
+    string annotation."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                if _names_private_type(ast.parse(node.value, mode="eval")):
+                    return True
+            except SyntaxError:
+                pass
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
+        if name.startswith("_") and not name.startswith("__"):
+            return True
+    return False
+
+
+def test_public_signatures_name_no_private_type():
+    # a caller of a public function cannot build or name a private type, so
+    # a private type in a public signature is a hand-off between internals
+    # that has leaked into the API; public methods of public classes count
+    def public(name):
+        return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and public(cls.name):
+                functions += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for fn in functions:
+            if not public(fn.name):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations = [a.annotation for a in params if a is not None and a.annotation is not None]
+            if fn.returns is not None:
+                annotations.append(fn.returns)
+            if any(map(_names_private_type, annotations)):
+                found.append(f"{path.name}:{fn.lineno}")
+    assert found == []
