@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cubicchase import _flex_value, _residual, chase, ternary_singular_point
+from .cubicchase import _flex_value, _tangent_residuals, chase, ternary_singular_point
 from .cubicfactor import FactorKind, factor_cubic
 from .exactmath import (
     Rat,
@@ -17,8 +17,6 @@ from .exactmath import (
     enum_key,
     frac,
     is_perfect_square,
-    iter_kernel_primitives,
-    iter_primitive_vectors,
     primitive_vector,
     vec_dot,
 )
@@ -166,42 +164,29 @@ class _Pipeline:
         if c2d != 0:
             return self.finish(Conclusion.CERTIFIED, RULE_C2_NONZERO)
         rank = form.rank
-        if rank >= 5:
-            return self.rule_high_rank()
-        if rank == 4:
-            return self.rule_rank4()
-        if rank == 3:
-            return self.rule_rank3()
         if rank == 2:
             return self.rule_rank2()
-        self.warnings.append(
-            "rank-1 data cannot carry a nef non-ample class with zero cube"
-        )
-        return self.finish(Conclusion.INPUT_INCONSISTENT, RULE_NONE)
-
-    def _factorization(self):
-        fac = factor_cubic(self.form, self.opts.seed)
-        self.check(
-            "factor_kind", "factor_kind", _FACTOR_CODES[fac.kind], self.opts.seed
-        )
-        return fac
-
-    def _chase_witness(self) -> Divisor | None:
-        trace = chase(self.form, self.c2, self.point, self.opts.depth, self.opts.budget)
-        if trace.witness is not None:
-            self.witnesses["E"] = trace.witness
-            self.check(
-                "c2(E)", "c2", self.c2.pair(trace.witness), trace.witness.coords
-            )
-            self.check("cube(E)", "cube", trace.witness_cube, trace.witness.coords)
-        return trace.witness
-
-    def rule_high_rank(self) -> Certificate:
-        fac = self._factorization()
+        # no rank-1 input gets here: cube(D) = 0 with D != 0 forces d_000 = 0, so nu(D) = 0
+        fac = factor_cubic(form, self.opts.seed)
+        self.check("factor_kind", "factor_kind", _FACTOR_CODES[fac.kind], self.opts.seed)
         if fac.kind is FactorKind.IRREDUCIBLE:
             self.caveats.append(CAVEAT_QFACTOR)
-            self._chase_witness()
-            return self.finish(Conclusion.CERTIFIED, RULE_MAIN_IRREDUCIBLE)
+            if rank == 3:
+                return self.rule_rank3()
+            trace = chase(form, c2, self.point, self.opts.depth, self.opts.budget)
+            if trace.witness is not None:
+                self.witnesses["E"] = trace.witness
+                self.check("c2(E)", "c2", c2.pair(trace.witness), trace.witness.coords)
+                self.check("cube(E)", "cube", trace.witness_cube, trace.witness.coords)
+            return self.finish(
+                Conclusion.CERTIFIED, RULE_B4 if rank == 4 else RULE_MAIN_IRREDUCIBLE
+            )
+        if rank < 5:
+            self.warnings.append(
+                f"the rank-{rank} criterion needs an irreducible cubic; this one factors "
+                f"({fac.kind.value})"
+            )
+            return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
         if fac.kind is FactorKind.LINEAR_TIMES_QUADRIC:
             return self._reducible_quadric(fac)
         self.warnings.append(
@@ -251,46 +236,21 @@ class _Pipeline:
         self.check("cube(E)", "cube", self.form.cube(e), e.coords)
         return self.finish(Conclusion.CERTIFIED, RULE_MAIN_REDUCIBLE)
 
-    def rule_rank4(self) -> Certificate:
-        fac = self._factorization()
-        if fac.kind is FactorKind.IRREDUCIBLE:
-            self.caveats.append(CAVEAT_QFACTOR)
-            self._chase_witness()
-            return self.finish(Conclusion.CERTIFIED, RULE_B4)
-        self.warnings.append(
-            "the rank-4 criterion needs an irreducible cubic; this one factors "
-            f"({fac.kind.value})"
-        )
-        return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-
     def rule_rank3(self) -> Certificate:
+        """The rank-3 rule on an irreducible cubic: residuals through its
+        singular point P, or the tangent line at a smooth D."""
         form, c2, d = self.form, self.c2, self.d
-        fac = self._factorization()
-        if fac.kind is not FactorKind.IRREDUCIBLE:
-            self.warnings.append(
-                "the rank-3 criterion needs an irreducible cubic; this one factors "
-                f"({fac.kind.value})"
-            )
-            return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-        self.caveats.append(CAVEAT_QFACTOR)
         p = ternary_singular_point(form)
         if p is not None:
             self.witnesses["P"] = p
             point = Point(form, p)
             self.check("cube(P)", "cube", point.cube(), p.coords)
             self.check("nu(P)", "nu", point.nu(), p.coords)
-            examined = 0
-            for x in iter_primitive_vectors(form.rank):
-                if x == point.key:
-                    continue
-                if examined >= self.opts.budget:
-                    break
-                examined += 1
-                found = _residual(form, point, Divisor(x))
+            for _, found in _tangent_residuals(form, point, self.opts.budget):
                 if found is None:
                     continue
-                e, cube_e = found
-                if canonical_vector(e.coords) == point.key:
+                e, cube_e, e_key = found
+                if e_key == point.key:
                     continue
                 if c2.pair(e) != 0:
                     self.witnesses["E"] = e
@@ -305,20 +265,17 @@ class _Pipeline:
         # smooth cubic: walk to the residual of the tangent line at D; nu(D) = 2,
         # so the tangent plane is a rank-2 lattice with directions besides D
         point = self.point
-        direction = next(x for x in iter_kernel_primitives([point.s]) if x != point.key)
-        found = _residual(form, point, Divisor(direction))
+        direction, found = next(_tangent_residuals(form, point, 1))
         if found is None:
             self.warnings.append(
                 "the tangent line at D lies on the cubic, contradicting "
                 "irreducibility; treating as inconclusive"
             )
             return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-        e, cube_e = found
-        if canonical_vector(e.coords) == point.key:
-            self.check(
-                "T(D,x,x)", "triple", form.triple(d, direction, direction),
-                d.coords, direction, direction,
-            )
+        e, cube_e, e_key = found
+        if e_key == point.key:
+            x = direction.coords
+            self.check("T(D,x,x)", "triple", form.triple(d, x, x), d.coords, x, x)
             self.warnings.append(
                 "D is an inflection point of the cubic: the tangent line returns "
                 "to D and the residual construction degenerates"

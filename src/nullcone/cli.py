@@ -104,7 +104,6 @@ def parse_input(doc) -> ParsedInput:
         if key in entries and entries[key] != v:
             raise InputError(f"{where}: conflicts with an earlier value for {key}")
         entries[key] = v
-    form = IntersectionForm(rank, entries)
     raw_c2 = doc.get("c2")
     if not isinstance(raw_c2, list) or len(raw_c2) != rank:
         raise InputError(f"c2: expected a list of {rank} rationals")
@@ -132,7 +131,9 @@ def parse_input(doc) -> ParsedInput:
         if not isinstance(val, bool):
             raise InputError(f"assumptions[{key!r}]: expected true or false")
     assumptions = Assumptions(**{f: raw_asm.get(key, True) for key, f in _ASSUMPTIONS})
-    return ParsedInput(form, c2, divisors, assumptions)
+    # the form allocates per declared rank, so it is built only after the c2
+    # and divisor length checks have tied that rank to the document's size
+    return ParsedInput(IntersectionForm(rank, entries), c2, divisors, assumptions)
 
 
 def load_input(path: str) -> ParsedInput:

@@ -107,6 +107,25 @@ def _residual(form: IntersectionForm, point: Point, x: Divisor) -> tuple[Divisor
     return out, cube
 
 
+def _tangent_residuals(form: IntersectionForm, point: Point, budget: int):
+    """The first `budget` tangent directions at a `Point` on the cubic and
+    what each one gives: (direction, None) when the line lies on the cubic,
+    else (direction, (residual, cube, residual_key)) as `_residual` computed
+    them.  The directions are the primitive vectors of the lattice s . x = 0
+    in (height, spiral) order, the point's own class left out; at a singular
+    point (s = 0) that is every primitive vector.  Each direction costs the
+    entries that touch its support (see `residual_on_tangent`)."""
+    directions = (x for x in iter_kernel_primitives([point.s]) if x != point.key)
+    for x in itertools.islice(directions, budget):
+        direction = Divisor(x)
+        found = _residual(form, point, direction)
+        if found is None:
+            yield direction, None
+        else:
+            residual, cube = found
+            yield direction, (residual, cube, canonical_vector(residual.coords))
+
+
 class Degeneracy(str, Enum):
     LINE_CONTAINED = "line_contained"
     TANGENT_SECTION_IS_CONE = "tangent_section_is_cone"
@@ -163,13 +182,12 @@ def chase(
     """Breadth-first walk on rational null points along tangent residuals.
 
     Stops at the first visited class with nonzero c2 pairing (the witness).
-    Directions at each point are the primitive vectors of the tangent-plane
-    lattice in (height, spiral) order, at most `budget` per point; `depth`
-    bounds the number of expansion levels.  Each expanded point's tangent
-    pass is made once, as an `nsring.Point`; the start d may already be one,
-    whose pass is then reused, and is checked to be on the cubic.  Each direction costs the entries that touch its support
-    (see `residual_on_tangent`), and the witness's cube is the one its
-    null-cone check computed (`ChaseTrace.witness_cube`).
+    At each point the directions and their residuals come from
+    `_tangent_residuals`, at most `budget` per point; `depth` bounds the
+    number of expansion levels.  Each expanded point's tangent pass is made
+    once, as an `nsring.Point`; the start d may already be one, whose pass
+    is then reused, and is checked to be on the cubic.  The witness's cube is
+    the one its null-cone check computed (`ChaseTrace.witness_cube`).
     """
     start = _on_cubic(form, d, "start point")
     if depth < 1 or budget < 1:
@@ -190,21 +208,12 @@ def chase(
         if not any(point.s):
             trace.degeneracies.append((Degeneracy.POINT_SINGULAR, point.divisor))
             continue
-        examined = 0
         productive = collapsed = False
-        for x in iter_kernel_primitives([point.s]):
-            if x == point.key:
-                continue
-            if examined >= budget:
-                break
-            examined += 1
-            direction = Divisor(x)
-            found = _residual(form, point, direction)
+        for direction, found in _tangent_residuals(form, point, budget):
             if found is None:
                 trace.degeneracies.append((Degeneracy.LINE_CONTAINED, point.divisor))
                 continue
-            residual, cube = found
-            res_key = canonical_vector(residual.coords)
+            residual, cube, res_key = found
             if res_key == point.key:
                 collapsed = True
                 continue

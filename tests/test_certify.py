@@ -186,9 +186,21 @@ def test_nu_one_beats_c2_nonzero():
 
 
 def test_rank1_zero_cube_is_inconsistent():
-    form = IntersectionForm(1, {})
-    cert = certify(form, LinearClass((1,)), (1,))
-    assert cert.conclusion is Conclusion.INPUT_INCONSISTENT
+    # at rank 1, cube(D) = d_000 D^3: it decides unless d_000 = 0, and then
+    # T(D, -, -) = 0 too, so nu(D) = 0 ends the pipeline before any rule
+    for value in (0, 1, -1, 3, -3):
+        form = IntersectionForm(1, {(0, 0, 0): value} if value else {})
+        for d in ((1,), (-2,), (Fraction(1, 2),)):
+            cert = certify(form, LinearClass((1,)), d)
+            labels = [c.label for c in cert.trace]
+            if value:
+                assert (cert.conclusion, cert.rule) == (Conclusion.CERTIFIED, RULE_NEFPSEF)
+                assert labels == ["cube(D)"]
+            else:
+                assert cert.conclusion is Conclusion.INPUT_INCONSISTENT
+                assert cert.rule == RULE_NONE and labels == ["cube(D)", "nu(D)"]
+                assert any("numerically trivial" in w for w in cert.warnings)
+            assert replay(form, LinearClass((1,)), cert)
 
 
 # ---------------------------------------------------------------------------

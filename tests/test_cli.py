@@ -97,6 +97,18 @@ def test_parse_input_rejections(mutate, message):
         parse_input(mutate(minimal_doc()))
 
 
+def test_huge_declared_rank_is_rejected_before_the_form_is_built(monkeypatch):
+    # a short document declaring rank 10^9 must fail on its c2 length, not
+    # allocate a rank-10^9 form first
+    def refuse(*args):
+        raise AssertionError("IntersectionForm built before the c2 check")
+
+    monkeypatch.setattr("nullcone.cli.IntersectionForm", refuse)
+    doc = {"rank": 10**9, "intersection": [], "c2": [0], "divisors": {"D": [1]}}
+    with pytest.raises(InputError, match=r"c2: expected a list of 1000000000 rationals"):
+        parse_input(doc)
+
+
 def test_fixture_documents_all_parse():
     for name in FIXTURES:
         parsed = parse_input(load_fixture(name))

@@ -663,6 +663,15 @@ def test_enumerators_start_at_rank_2000():
     assert all(vec_dot(row, v) == 0 and len(v) == n for v in got)
 
 
+def test_kernel_of_a_zero_row_is_the_primitive_walk():
+    # the tangent walk at a singular point (T(p, p, -) = 0) is the kernel
+    # walk of a zero row, so it must meet directions in the order of
+    # iter_primitive_vectors
+    for n in range(1, 6):
+        zero = list(itertools.islice(iter_kernel_primitives([(0,) * n]), 300))
+        assert zero == list(itertools.islice(iter_primitive_vectors(n), 300)), n
+
+
 def test_iter_kernel_primitives_trivial_kernel():
     rows = [[frac(1), frac(0)], [frac(0), frac(1)]]
     assert list(iter_kernel_primitives(rows)) == []

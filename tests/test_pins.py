@@ -8,15 +8,16 @@ output changed; if the change is intended, the new digest goes in with it.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 from importlib import resources
 
-from nullcone.certify import certify
+from nullcone.certify import Options, certify
 from nullcone.cli import fixture_names, main, render_json
-from nullcone.cubicchase import chase, ternary_singular_point
+from nullcone.cubicchase import chase, residual_on_tangent, ternary_singular_point
 from nullcone.cubicfactor import factor_over_Q, factor_quadratic_form
-from nullcone.exactmath import Poly
+from nullcone.exactmath import Poly, canonical_vector, iter_primitive_vectors
 from nullcone.quadpoints import is_isotropic, isotropic_vector
 
 from helpers import (
@@ -39,6 +40,7 @@ QUADRIC_LAYER_SHA256 = "75564ba6253315876bd7eaa71280e312b768b51994404d4c139c0572
 QUADRIC_LAYER_RANK5_SHA256 = "fdb3ba5636c3ce42bcdf1ca7e2a56c2f80202778153d6f042929ae3c9bf46d9e"
 TERNARY_SINGULAR_POINTS_SHA256 = "04df0ba077d361f726f1df5405dc464ea22ecf97dfc6d99d7d39249e7d5353be"
 CHASE_TRACES_SHA256 = "24cbe35f5af22cd15d5b07102352d5cc8e0acee3c8a3dc008374bdbc0cf208ea"
+RANK3_CERTIFICATES_SHA256 = "d5a1cf0c5179e26bbc32be6c934661ac3723bf87208e280826e79dbc2fb3b81f"
 
 
 def _sha256(text: str) -> str:
@@ -144,6 +146,38 @@ def test_ternary_singular_points_pinned():
         point = ternary_singular_point(form)
         rows.append(None if point is None else [str(c) for c in point.coords])
     assert _sha256(json.dumps(rows)) == TERNARY_SINGULAR_POINTS_SHA256
+
+
+def test_rank3_certificates_pinned():
+    # every seeded ternary cubic with a rational singular point P, at the
+    # first residual D through P with nu(D) = 2, then planted rank-3 null
+    # forms; each at the default budget and at budget 1, so the certificates
+    # cover the singular-point walk (witness and budget exhaustion), the
+    # smooth tangent step (witness and inflection) and reducible cubics
+    rng = random.Random(2323)
+    cases = []
+    for form in seeded_ternary_cubics(rng, 12):
+        p = ternary_singular_point(form)
+        if p is None:
+            continue
+        p_key = canonical_vector(p.coords)
+        for x in itertools.islice(iter_primitive_vectors(3), 50):
+            e = None if x == p_key else residual_on_tangent(form, p, x)
+            if e is None or canonical_vector(e.coords) == p_key:
+                continue
+            if form.numerical_dimension(e) == 2:
+                cases.append((form, annihilator_c2(rng, e.coords, form.square_class(e).coords), e))
+                break
+    for _ in range(40):
+        form, d = plant_null_form(rng, 3, 4)
+        cases.append((form, annihilator_c2(rng, d, form.square_class(d).coords), d))
+    rendered = [
+        render_json(certify(form, c2, d, options=options))
+        for form, c2, d in cases
+        for options in (Options(), Options(budget=1))
+    ]
+    assert len(rendered) == 160
+    assert _sha256("".join(rendered)) == RANK3_CERTIFICATES_SHA256
 
 
 def _coords(divisor):

@@ -98,6 +98,24 @@ def test_certify_calls_no_private_form_method():
     assert found == []
 
 
+def test_certify_walks_no_tangent_directions():
+    # `cubicchase._tangent_residuals` is the one loop over tangent directions
+    # and their residuals; certify reads it and imports no lattice
+    # enumerator and no `_residual` of its own
+    banned = {
+        "iter_kernel_primitives", "iter_primitive_vectors", "iter_integer_vectors", "_residual",
+    }
+    tree = ast.parse((Path(nullcone.__file__).parent / "certify.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a for a in node.names if a.name.split(".")[-1] in banned]
+            found += [f"certify.py:{a.lineno}" for a in names]
+        elif isinstance(node, ast.Attribute) and node.attr in banned:
+            found.append(f"certify.py:{node.lineno}")
+    assert found == []
+
+
 def test_secant_formula_runs_in_one_place():
     # `quadpoints._residual` is the one secant routine: sample_points and
     # second_intersection both call it, so neither carries its own copy
