@@ -90,6 +90,10 @@ class Options:
     budget: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        if self.depth < 1 or self.budget < 1:
+            raise ValueError("depth and budget must be positive")
+
 
 @dataclass
 class Certificate:
@@ -202,11 +206,12 @@ class _Pipeline:
         verdict = isotropic_vector(quad)
         if verdict.kind is IsotropyKind.DEGENERATE:
             for r in verdict.radical_basis:
-                if form.numerical_dimension(r) == 1:
-                    e = Divisor(r)
+                point = Point(form, r)
+                if point.nu() == 1:
+                    e = point.divisor
                     self.witnesses["E"] = e
                     self.check("nu(E)", "nu", 1, e.coords)
-                    self.check("cube(E)", "cube", form.cube(e), e.coords)
+                    self.check("cube(E)", "cube", point.cube(), e.coords)
                     return self.finish(Conclusion.CERTIFIED, RULE_C2_NU1)
             self.warnings.append(
                 "the quadric factor is degenerate and no radical class has "
@@ -285,7 +290,7 @@ class _Pipeline:
         self.check("cube(E)", "cube", cube_e, e.coords)
         self.check("T(D,D,E)", "triple", point.triple(e), d.coords, d.coords, e.coords)
         # cube(E) = 0 was checked by `_residual`: the flex value is T(E, F, F)
-        val, g = _flex_value(form, e, d)
+        val, g = _flex_value(form, Point(form, e), d)
         self.witnesses["F"] = g
         self.check("T(E,F,F)", "triple", val, e.coords, g.coords, g.coords)
         if val != 0:
@@ -298,25 +303,24 @@ class _Pipeline:
         return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
 
     def rule_rank2(self) -> Certificate:
-        form, c2, d = self.form, self.c2, self.d
-        d_key = canonical_vector(d.coords)
-        basis = [(1, 0), (0, 1)]
-        e0 = Divisor(next(b for b in basis if b != d_key))
-        a = self.check(
-            "cube(E0)", "cube", form.cube(e0), e0.coords
-        )
-        b = self.check(
-            "T(E0,E0,D)", "triple", form.triple(e0, e0, d), e0.coords, e0.coords, d.coords
-        )
-        c = self.check(
-            "T(E0,D,D)", "triple", form.triple(e0, d, d), e0.coords, d.coords, d.coords
-        )
+        """The rank-2 rule: the null rays of the binary cubic f(x E0 + y D) =
+        a x^3 + 3b x^2 y + 3c x y^2 besides D, where E0 is the basis vector
+        off D, a = cube(E0), b = T(E0, E0, D) and c = T(E0, D, D).  E0's
+        `Point` gives a and b, D's gives c, and the double-root class D' gives
+        its two triples and nu from its own."""
+        form, c2, d, point = self.form, self.c2, self.d, self.point
+        e0 = Divisor(next(b for b in [(1, 0), (0, 1)] if b != point.key))
+        e0_point = Point(form, e0)
+        a = self.check("cube(E0)", "cube", e0_point.cube(), e0.coords)
+        b = self.check("T(E0,E0,D)", "triple", e0_point.triple(d), e0.coords, e0.coords, d.coords)
+        c = self.check("T(E0,D,D)", "triple", point.triple(e0), e0.coords, d.coords, d.coords)
+        # nu(D) = 2 here, so sigma = T(D, D, -) is nonzero and vanishes on D:
+        # c = sigma(E0) != 0.  So no ray below is (0, 0), and none is D, which
+        # would need -3b +- s = 0, i.e. ac = 0
         rays: list[tuple[Rat, Rat]] = []
         disc = None
         if a == 0:
-            rays.append((1, 0))
-            if b != 0 or c != 0:
-                rays.append((c, -b))
+            rays += [(1, 0), (c, -b)]
         else:
             disc = self.check("disc", "b2disc", 9 * b * b - 12 * a * c, e0.coords, d.coords)
             s = is_perfect_square(disc)
@@ -326,12 +330,9 @@ class _Pipeline:
                 rays.append((-3 * b - s, 2 * a))
         seen = set()
         for x, y in rays:
-            if x == 0 and y == 0:
-                continue
-            coords = tuple(x * u + y * v for u, v in zip(e0.coords, d.coords))
-            ray = primitive_vector(coords)
+            ray = primitive_vector(tuple(x * u + y * v for u, v in zip(e0.coords, d.coords)))
             key = canonical_vector(ray)
-            if key in seen or key == d_key:
+            if key in seen:
                 continue
             seen.add(key)
             if c2.pair(ray) != 0:
@@ -341,20 +342,13 @@ class _Pipeline:
                 self.check("c2(E)", "c2", c2.pair(e), e.coords)
                 return self.finish(Conclusion.CERTIFIED, RULE_B2_NULL)
         if a != 0 and disc == 0:
-            dp_coords = tuple(
-                -3 * b * u + 2 * a * v for u, v in zip(e0.coords, d.coords)
-            )
-            dp = Divisor(primitive_vector(dp_coords))
-            self.witnesses["Dprime"] = dp
-            self.check(
-                "T(D',D',D)", "triple", form.triple(dp, dp, d), dp.coords, dp.coords, d.coords
-            )
-            self.check(
-                "T(D',D',E0)", "triple", form.triple(dp, dp, e0),
-                dp.coords, dp.coords, e0.coords,
-            )
-            nu_dp = form.numerical_dimension(dp)
-            self.check("nu(D')", "nu", nu_dp, dp.coords)
+            # s = 0: both rays are the double root D', the loop's last
+            dp = Point(form, ray)
+            self.witnesses["Dprime"] = dp.divisor
+            dpc = dp.divisor.coords
+            self.check("T(D',D',D)", "triple", dp.triple(d), dpc, dpc, d.coords)
+            self.check("T(D',D',E0)", "triple", dp.triple(e0), dpc, dpc, e0.coords)
+            nu_dp = self.check("nu(D')", "nu", dp.nu(), dpc)
             if nu_dp == 1:
                 return self.finish(Conclusion.CERTIFIED, RULE_B2_DOUBLE)
             self.warnings.append(

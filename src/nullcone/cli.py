@@ -430,18 +430,14 @@ def _cmd_chase(args) -> int:
 
 def _point_arg(parsed: ParsedInput, text: str) -> Divisor:
     """A point given either as a divisor name or as comma-separated coordinates."""
-    if text in parsed.divisors:
-        return parsed.divisors[text]
-    if "," in text:
-        parts = text.split(",")
-        if len(parts) != parsed.form.rank:
-            raise InputError(
-                f"point {text!r}: expected {parsed.form.rank} comma-separated coordinates"
-            )
-        return Divisor(tuple(_parse_rat(p.strip(), text) for p in parts))
-    raise InputError(
-        f"divisor {text!r} not found; available: {sorted(parsed.divisors)}"
-    )
+    if text in parsed.divisors or "," not in text:
+        return _get_divisor(parsed, text)
+    parts = text.split(",")
+    if len(parts) != parsed.form.rank:
+        raise InputError(
+            f"point {text!r}: expected {parsed.form.rank} comma-separated coordinates"
+        )
+    return Divisor(tuple(_parse_rat(p.strip(), text) for p in parts))
 
 
 def _cmd_thirdpoint(args) -> int:

@@ -29,33 +29,6 @@ from .nsring import Divisor, IntersectionForm, LinearClass, Point, _as_divisor
 from .quadpoints import IsotropyKind, QuadraticForm, isotropic_vector, radical
 
 
-def third_point_on_line(form: IntersectionForm, p1, p2) -> Divisor | None:
-    """Third intersection of the cubic with the line through two null points.
-
-    Returns None when the whole line lies on the cubic.  The output keeps the
-    sign produced by the root formula (primitive, not sign-normalized).
-    """
-    a, b = _as_divisor(p1), _as_divisor(p2)
-    if a.is_zero or b.is_zero:
-        raise ValueError("line points must be nonzero")
-    ca, cb = form.cube(a), form.cube(b)
-    if ca != 0:
-        raise ValueError(f"first point is not on the cubic: cube = {ca}")
-    if cb != 0:
-        raise ValueError(f"second point is not on the cubic: cube = {cb}")
-    if canonical_vector(a.coords) == canonical_vector(b.coords):
-        raise ValueError("points are projectively equal; no line is determined")
-    c1 = 3 * form.triple(a, a, b)
-    c2 = 3 * form.triple(a, b, b)
-    if c1 == 0 and c2 == 0:
-        return None
-    pt = tuple(c2 * x - c1 * y for x, y in zip(a.coords, b.coords))
-    out = Divisor(primitive_vector(pt))
-    if form.cube(out) != 0:
-        raise AssertionError("third point failed the null-cone check")
-    return out
-
-
 def _on_cubic(form: IntersectionForm, d, what: str) -> Point:
     """d as a `Point` (reused when it is one), checked to be on the cubic."""
     point = d if isinstance(d, Point) else Point(form, d, what)
@@ -63,6 +36,28 @@ def _on_cubic(form: IntersectionForm, d, what: str) -> Point:
     if cube:
         raise ValueError(f"{what} is not on the cubic: cube = {cube}")
     return point
+
+
+def third_point_on_line(form: IntersectionForm, p1, p2) -> Divisor | None:
+    """Third intersection of the cubic with the line through two null points.
+
+    Returns None when the whole line lies on the cubic.  The output keeps the
+    sign produced by the root formula (primitive, not sign-normalized).  Each
+    point is checked by `_on_cubic`, and T(a, a, b) and T(b, b, a) are read
+    from the two points' tangent passes.
+    """
+    a, b = _on_cubic(form, p1, "first point"), _on_cubic(form, p2, "second point")
+    if a.key == b.key:
+        raise ValueError("points are projectively equal; no line is determined")
+    c1 = 3 * a.triple(b.divisor)
+    c2 = 3 * b.triple(a.divisor)
+    if c1 == 0 and c2 == 0:
+        return None
+    pt = tuple(c2 * x - c1 * y for x, y in zip(a.divisor.coords, b.divisor.coords))
+    out = Divisor(primitive_vector(pt))
+    if form.cube(out) != 0:
+        raise AssertionError("third point failed the null-cone check")
+    return out
 
 
 def residual_on_tangent(form: IntersectionForm, d, x) -> Divisor | None:
@@ -232,12 +227,9 @@ def chase(
 
 
 def is_singular_at(form: IntersectionForm, p) -> bool:
-    """Whether the null point p is singular on the cubic (gradient vanishes)."""
-    pp = _as_divisor(p)
-    c = form.cube(pp)
-    if c != 0:
-        raise ValueError(f"point is not on the cubic: cube = {c}")
-    return form.square_class(pp).is_zero
+    """Whether the nonzero null point p is singular on the cubic: its tangent
+    pass s = T(p, p, -), the gradient divided by 3, vanishes."""
+    return not any(_on_cubic(form, p, "point").s)
 
 
 def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
@@ -249,32 +241,26 @@ def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
     """
     if form.rank != 3:
         raise ValueError("the tangent-line test is specific to rank 3")
-    ee = _as_divisor(e)
-    if ee.is_zero:
-        raise ValueError("point must be nonzero")
-    c = form.cube(ee)
-    if c != 0:
-        raise ValueError(f"point is not on the cubic: cube = {c}")
-    val, g = _flex_value(form, ee, d)
+    val, g = _flex_value(form, _on_cubic(form, e, "point"), d)
     return val == 0, g
 
 
-def _flex_value(form: IntersectionForm, ee: Divisor, d=None) -> tuple[Rat, Divisor]:
-    """(T(e, g, g), g) for the nonzero null point e of a rank-3 cubic, g as in
-    `inflection_test`: a caller that already knows cube(e) = 0 reads the flex
-    value here with no second cube pass, and keeps it for its own record."""
-    sq = form.square_class(ee)
-    if sq.is_zero:
+def _flex_value(form: IntersectionForm, point: Point, d=None) -> tuple[Rat, Divisor]:
+    """(T(e, g, g), g) for a `Point` e on a rank-3 cubic, g as in
+    `inflection_test`: the tangent line is the kernel of e's s, and e's key
+    leaves e itself out.  A caller that already knows cube(e) = 0 reads the
+    flex value here with no null-cone check, and keeps it for its own record."""
+    if not any(point.s):
         raise ValueError("point is singular; the flex test needs a smooth point")
-    kb = kernel_basis([list(sq.coords)])
-    e_key = canonical_vector(ee.coords)
-    candidates = [b for b in kb]
+    kb = kernel_basis([point.s])
+    candidates = list(kb)
     if len(kb) == 2:
         candidates.append(canonical_vector([u + v for u, v in zip(kb[0], kb[1])]))
         candidates.append(canonical_vector([u - v for u, v in zip(kb[0], kb[1])]))
-    candidates = [g for g in candidates if g != e_key]
+    candidates = [g for g in candidates if g != point.key]
     if not candidates:
         raise AssertionError("tangent plane collapsed onto the point itself")
+    ee = point.divisor
     chosen = candidates[0]
     if d is not None:
         dd = _as_divisor(d)

@@ -331,29 +331,20 @@ def integral_divide(f: Poly, g: Poly) -> Poly | None:
 
     Plain lex division in ints, on packed keys.  If g | f, each remainder's
     leading term is a multiple of g's, by an integral coefficient (Gauss's
-    lemma): one failed step proves non-divisibility.  For the first
-    log2(terms of f) steps the leading term is `max(r)`, together about the
-    cost of one sort, so a division that fails early sorts nothing.  After
-    that the remainder's keys are sorted once and kept sorted, the leading
-    one last; a key cancelled since is skipped."""
+    lemma): one failed step proves non-divisibility.  The remainder's keys
+    are sorted once and kept sorted, the leading one last; a key cancelled
+    since is skipped."""
     guards = _LIMIT * (((1 << _W * f.nvars) - 1) // _FIELD)
     le_g = max(g.packed)
     lc_g = g.packed[le_g]
     g_tail = [(k, c) for k, c in g.packed.items() if k != le_g]
     q: dict[int, int] = {}
     r = dict(f.packed)
-    by_max = len(r).bit_length()
-    order: list[int] | None = None
+    order = sorted(r)
     while r:
-        if by_max:
-            by_max -= 1
-            le_r = max(r)
-        else:
-            if order is None:
-                order = sorted(r)
-            le_r = order.pop()
-            if le_r not in r:
-                continue
+        le_r = order.pop()
+        if le_r not in r:
+            continue
         if ((le_r | guards) - le_g) & guards != guards:
             return None
         e = le_r - le_g
@@ -369,7 +360,7 @@ def integral_divide(f: Poly, g: Poly) -> Poly | None:
             if not v:
                 del r[m]
                 continue
-            if order is not None and m not in r:
+            if m not in r:
                 bisect.insort(order, m)
             r[m] = v
     return Poly._of(f.nvars, q)
@@ -493,6 +484,8 @@ def _one_rational_root(coeffs: list[Rat]) -> Rat | None:
     lead = _divisors(ints[0])
     for p in _divisors(ints[-1]):
         for q in lead:
+            if math.gcd(p, q) > 1:  # p/q in lowest terms came earlier
+                continue
             for num in (p, -p):
                 # q^deg f(num/q) = sum c_i num^(deg-i) q^i, by Horner in num
                 val, q_pow = ints[0], 1

@@ -190,6 +190,20 @@ def test_exit_code_bad_input_file(tmp_path, capsys):
     assert "error: cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--budget", "0"], ["--budget", "-1"], ["--depth", "0"]])
+@pytest.mark.parametrize("name", [
+    "b2_2_null_rational", "b3_singular_section", "b3_smooth_tangent",
+    "b4_diagonal_irreducible", "b5_diagonal_irreducible",
+])
+def test_certify_rejects_nonpositive_depth_and_budget_at_every_rank(name, flag, capsys):
+    # `Options` refuses them before any rule runs, so the rules that read no
+    # budget (rank 2, smooth rank 3) refuse them too
+    assert main(["certify", "--input", fixture_path(name), "--divisor", "D", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth and budget must be positive\n"
+
+
 def test_exit_code_unknown_divisor(capsys):
     code = main(
         ["certify", "--input", fixture_path("b2_2_nonsquare"), "--divisor", "Z"]

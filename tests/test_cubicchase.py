@@ -437,6 +437,8 @@ def test_is_singular_at():
     assert is_singular_at(DIAG3, (1, 1, 1)) is False
     with pytest.raises(ValueError, match="not on the cubic"):
         is_singular_at(DIAG3, (1, 0, 0))
+    with pytest.raises(ValueError, match="nonzero"):
+        is_singular_at(DIAG3, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------

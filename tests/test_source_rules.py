@@ -116,6 +116,50 @@ def test_certify_walks_no_tangent_directions():
     assert found == []
 
 
+def _calls(node, names: set[str]) -> list[int]:
+    """Line numbers of the calls under node to a function or method in names."""
+    return [
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) in names
+    ]
+
+
+def test_null_point_questions_read_a_point():
+    # cube, nu, T(p, p, -) and singularity at a null point are all read from
+    # its `nsring.Point`; a `square_class` or `numerical_dimension` call in the
+    # chase or the pipeline is a second pass at a point that already has one.
+    # `replay_check` stays independent of the prover and may call them
+    names = {"square_class", "numerical_dimension"}
+    root = Path(nullcone.__file__).parent
+    chase_tree = ast.parse((root / "cubicchase.py").read_text(encoding="utf-8"))
+    certify_tree = ast.parse((root / "certify.py").read_text(encoding="utf-8"))
+    pipeline = next(
+        n for n in certify_tree.body if isinstance(n, ast.ClassDef) and n.name == "_Pipeline"
+    )
+    found = [f"cubicchase.py:{n}" for n in _calls(chase_tree, names)]
+    found += [f"certify.py:{n}" for n in _calls(pipeline, names)]
+    assert found == []
+
+
+def test_cubicchase_checks_a_null_point_in_one_place():
+    # `_on_cubic` is the one on-cubic check: every function that takes a
+    # point from outside calls it instead of raising its own copy
+    tree = ast.parse((Path(nullcone.__file__).parent / "cubicchase.py").read_text(encoding="utf-8"))
+    owners = {
+        id(n): fn.name
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+    }
+    found = [
+        owners.get(id(n))
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and "is not on the cubic" in n.value
+    ]
+    assert found == ["_on_cubic"]
+
+
 def test_secant_formula_runs_in_one_place():
     # `quadpoints._residual` is the one secant routine: sample_points and
     # second_intersection both call it, so neither carries its own copy
