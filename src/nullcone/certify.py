@@ -245,16 +245,15 @@ class _Pipeline:
         """The rank-3 rule on an irreducible cubic: residuals through its
         singular point P, or the tangent line at a smooth D."""
         form, c2, d = self.form, self.c2, self.d
+        # every tangent line below has a residual: a line on the cubic would be
+        # a rational line, and its linear form would divide the irreducible cubic
         p = ternary_singular_point(form)
         if p is not None:
             self.witnesses["P"] = p
             point = Point(form, p)
             self.check("cube(P)", "cube", point.cube(), p.coords)
             self.check("nu(P)", "nu", point.nu(), p.coords)
-            for _, found in _tangent_residuals(form, point, self.opts.budget):
-                if found is None:
-                    continue
-                e, cube_e, e_key = found
+            for _, (e, cube_e, e_key) in _tangent_residuals(form, point, self.opts.budget):
                 if e_key == point.key:
                     continue
                 if c2.pair(e) != 0:
@@ -270,14 +269,7 @@ class _Pipeline:
         # smooth cubic: walk to the residual of the tangent line at D; nu(D) = 2,
         # so the tangent plane is a rank-2 lattice with directions besides D
         point = self.point
-        direction, found = next(_tangent_residuals(form, point, 1))
-        if found is None:
-            self.warnings.append(
-                "the tangent line at D lies on the cubic, contradicting "
-                "irreducibility; treating as inconclusive"
-            )
-            return self.finish(Conclusion.INCONCLUSIVE, RULE_NONE)
-        e, cube_e, e_key = found
+        direction, (e, cube_e, e_key) = next(_tangent_residuals(form, point, 1))
         if e_key == point.key:
             x = direction.coords
             self.check("T(D,x,x)", "triple", form.triple(d, x, x), d.coords, x, x)
@@ -290,7 +282,7 @@ class _Pipeline:
         self.check("cube(E)", "cube", cube_e, e.coords)
         self.check("T(D,D,E)", "triple", point.triple(e), d.coords, d.coords, e.coords)
         # cube(E) = 0 was checked by `_residual`: the flex value is T(E, F, F)
-        val, g = _flex_value(form, Point(form, e), d)
+        val, g = _flex_value(form, Point(form, e))
         self.witnesses["F"] = g
         self.check("T(E,F,F)", "triple", val, e.coords, g.coords, g.coords)
         if val != 0:

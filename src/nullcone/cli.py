@@ -290,14 +290,6 @@ def _get_divisor(parsed: ParsedInput, name: str) -> Divisor:
     return parsed.divisors[name]
 
 
-def _options_from_args(args) -> Options:
-    return Options(
-        depth=args.depth,
-        budget=args.budget,
-        seed=args.seed,
-    )
-
-
 def _cmd_certify(args) -> int:
     parsed = load_input(args.input)
     d = _get_divisor(parsed, args.divisor)
@@ -308,7 +300,7 @@ def _cmd_certify(args) -> int:
         d,
         h,
         assumptions=parsed.assumptions,
-        options=_options_from_args(args),
+        options=Options(depth=args.depth, budget=args.budget, seed=args.seed),
     )
     out = render_json(cert) if args.format == "json" else render_text(cert)
     sys.stdout.write(out)
@@ -324,10 +316,11 @@ def _cmd_analyze(args) -> int:
     form, c2 = parsed.form, parsed.c2
     d = _get_divisor(parsed, args.divisor)
     h = _get_divisor(parsed, args.ample) if args.ample else None
+    nu = form.numerical_dimension(d)
     lines = [
         f"rank: {form.rank}",
         f"cube(D): {rat_str(form.cube(d))}",
-        f"nu(D): {form.numerical_dimension(d)}",
+        f"nu(D): {nu}",
         f"c2.D: {rat_str(c2.pair(d))}",
         f"square_class(D): {_vec_str(form.square_class(d).coords)}",
     ]
@@ -342,7 +335,7 @@ def _cmd_analyze(args) -> int:
             f"linear={str(flags[2]).lower()}"
         )
         lines.append(f"c2.H: {rat_str(c2.pair(h))}")
-        if form.numerical_dimension(d) == 1 and form.triple(d, h, h) != 0:
+        if nu == 1 and form.triple(d, h, h) != 0:
             t0 = nef_threshold(form, h, d)
             boundary = Divisor(
                 tuple(x - t0 * y for x, y in zip(h.coords, d.coords))

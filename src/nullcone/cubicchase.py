@@ -18,7 +18,6 @@ from .exactmath import (
     Poly,
     Rat,
     canonical_vector,
-    echelon,
     enum_key,
     iter_kernel_primitives,
     kernel_basis,
@@ -26,7 +25,7 @@ from .exactmath import (
     rational_roots,
 )
 from .nsring import Divisor, IntersectionForm, LinearClass, Point, _as_divisor
-from .quadpoints import IsotropyKind, QuadraticForm, isotropic_vector, radical
+from .quadpoints import IsotropyKind, QuadraticForm, is_isotropic
 
 
 def _on_cubic(form: IntersectionForm, d, what: str) -> Point:
@@ -232,44 +231,30 @@ def is_singular_at(form: IntersectionForm, p) -> bool:
     return not any(_on_cubic(form, p, "point").s)
 
 
-def inflection_test(form: IntersectionForm, e, d=None) -> tuple[bool, Divisor]:
+def inflection_test(form: IntersectionForm, e) -> tuple[bool, Divisor]:
     """Whether the smooth null point e is a flex of the plane cubic (rank 3).
 
     Returns (is_flex, g) where g spans the tangent line at e together with e;
     e is a flex exactly when T(e, g, g) = 0, independent of the choice of g.
-    When d is given, g is kept outside the span of d and e if possible.
     """
     if form.rank != 3:
         raise ValueError("the tangent-line test is specific to rank 3")
-    val, g = _flex_value(form, _on_cubic(form, e, "point"), d)
+    val, g = _flex_value(form, _on_cubic(form, e, "point"))
     return val == 0, g
 
 
-def _flex_value(form: IntersectionForm, point: Point, d=None) -> tuple[Rat, Divisor]:
+def _flex_value(form: IntersectionForm, point: Point) -> tuple[Rat, Divisor]:
     """(T(e, g, g), g) for a `Point` e on a rank-3 cubic, g as in
-    `inflection_test`: the tangent line is the kernel of e's s, and e's key
-    leaves e itself out.  A caller that already knows cube(e) = 0 reads the
-    flex value here with no null-cone check, and keeps it for its own record."""
+    `inflection_test`: the first `kernel_basis` vector of e's s that is not
+    e's key.  The basis vectors are distinct canonical vectors spanning the
+    tangent line ker s, a plane through e, so at most one is e's key and the
+    other spans ker s with e.  A caller that already knows cube(e) = 0 reads
+    the flex value here with no null-cone check."""
     if not any(point.s):
         raise ValueError("point is singular; the flex test needs a smooth point")
     kb = kernel_basis([point.s])
-    candidates = list(kb)
-    if len(kb) == 2:
-        candidates.append(canonical_vector([u + v for u, v in zip(kb[0], kb[1])]))
-        candidates.append(canonical_vector([u - v for u, v in zip(kb[0], kb[1])]))
-    candidates = [g for g in candidates if g != point.key]
-    if not candidates:
-        raise AssertionError("tangent plane collapsed onto the point itself")
-    ee = point.divisor
-    chosen = candidates[0]
-    if d is not None:
-        dd = _as_divisor(d)
-        for g in candidates:
-            rows = [list(dd.coords), list(ee.coords), list(g)]
-            if len(echelon(rows)[1]) == 3:
-                chosen = g
-                break
-    return form.triple(ee, chosen, chosen), Divisor(chosen)
+    g = kb[0] if kb[0] != point.key else kb[1]
+    return form.triple(point.divisor, g, g), Divisor(g)
 
 
 # ---------------------------------------------------------------------------
@@ -288,50 +273,23 @@ def _gradient_quadrics(form: IntersectionForm) -> list[QuadraticForm]:
     return out
 
 
-def _describe_zero_set(q: QuadraticForm):
-    """Classify the rational zero set of a nonzero ternary quadric.
-
-    Returns one of ('empty',), ('point', pt), ('lines', (l1, l2)) with the
-    l_i linear forms cutting the lines, or ('conic', witness_point)."""
-    split = factor_quadratic_form(q)
-    if split is not None:
-        l1, l2, _ = split
-        return ("lines", (l1, l2))
-    rad = radical(q)
-    if len(rad) == 1:
-        # irreducible of rank 2: the only rational zero is the radical point
-        return ("point", rad[0])
-    verdict = isotropic_vector(q)
-    if verdict.kind is IsotropyKind.ANISOTROPIC:
-        return ("empty",)
-    if verdict.kind is IsotropyKind.ISOTROPIC:
-        return ("conic", verdict.witness)
-    raise AssertionError("unexpected degeneracy after radical handling")
-
-
 def _line_candidates(l: tuple[int, ...], quadrics: list[QuadraticForm]):
-    """Points of the line {l = 0} where all quadrics can vanish.
-
-    Returns ('whole', first_point) when every quadric vanishes on the line,
-    else ('points', candidates)."""
+    """Points of the line {l = 0} where all quadrics can vanish: the roots on
+    the line of the first quadric that does not vanish on it, or None when
+    every quadric vanishes on the whole line."""
     v1, v2 = kernel_basis([list(l)])
-    restrictions = []
     for q in quadrics:
-        a = q.evaluate(v1)
-        b = q.bilinear(v1, v2)
-        c = q.evaluate(v2)
-        restrictions.append((a, b, c))
-    live = next(((a, b, c) for a, b, c in restrictions if (a, b, c) != (0, 0, 0)), None)
-    if live is None:
-        first = next(iter_kernel_primitives([list(l)]))
-        return ("whole", first)
-    a, b, c = live
-    candidates = []
-    for r in rational_roots([a, 2 * b, c]):
-        candidates.append(primitive_vector([r * u + v for u, v in zip(v1, v2)]))
+        a, b, c = q.evaluate(v1), q.bilinear(v1, v2), q.evaluate(v2)
+        if a or b or c:
+            break
+    else:
+        return None
+    candidates = [
+        primitive_vector([r * u + v for u, v in zip(v1, v2)]) for r in rational_roots([a, 2 * b, c])
+    ]
     if a == 0:
         candidates.append(tuple(v1))
-    return ("points", candidates)
+    return candidates
 
 
 def _sylvester_resultant(q1: QuadraticForm, q2: QuadraticForm) -> Poly:
@@ -395,11 +353,15 @@ def _conic_pair_candidates(qa: QuadraticForm, qb: QuadraticForm) -> list[tuple[i
 
 
 def ternary_singular_point(form: IntersectionForm) -> Divisor | None:
-    """A rational singular point of a ternary cubic, or None when none exists.
+    """The least rational singular point of a ternary cubic by `enum_key`, or
+    None when it has none.
 
-    The singular locus is the common rational zero set of the three gradient
-    quadrics; each nonzero quadric's zeros form an empty set, a point, one or
-    two lines, or a conic, and every combination is decided exactly."""
+    The singular locus S is the common rational zero set of the gradient
+    quadrics, read in order up to the first one that decides: a split quadric
+    gives lines whose candidates cover S, an anisotropic one leaves S empty,
+    and a degenerate one has a single rational zero r, so S is {r} or empty.
+    When every quadric is an isotropic conic, two distinct ones meet in at
+    most four points, which cover S."""
     if form.rank != 3:
         raise ValueError("singular-point search is specific to rank 3")
     quadrics = _gradient_quadrics(form)
@@ -407,36 +369,32 @@ def ternary_singular_point(form: IntersectionForm) -> Divisor | None:
         raise ValueError("the cubic is identically zero")
 
     def verified(points) -> Divisor | None:
-        good = []
-        for p in points:
-            key = canonical_vector(p)
-            if all(q.evaluate(key) == 0 for q in quadrics):
-                good.append(key)
-        if not good:
-            return None
-        return Divisor(min(set(good), key=enum_key))
+        keys = map(canonical_vector, points)
+        good = {key for key in keys if all(q.evaluate(key) == 0 for q in quadrics)}
+        return Divisor(min(good, key=enum_key)) if good else None
 
-    descriptions = [_describe_zero_set(q) for q in quadrics]
-    if any(d[0] == "empty" for d in descriptions):
-        return None
-    for d in descriptions:
-        if d[0] == "point":
-            return verified([d[1]])
-    for d in descriptions:
-        if d[0] == "lines":
+    conics = {}
+    for q in quadrics:
+        split = factor_quadratic_form(q)
+        if split is not None:
             candidates: list[tuple[int, ...]] = []
-            for l in dict.fromkeys(d[1]):
-                kind, payload = _line_candidates(l, quadrics)
-                if kind == "whole":
-                    return verified([payload])
-                candidates.extend(payload)
+            for l in dict.fromkeys(split[:2]):
+                found = _line_candidates(l, quadrics)
+                if found is None:
+                    # the cubic is singular along l, so it is l^2 m or l^3 and
+                    # S is exactly l: its first point is the least
+                    return verified([next(iter_kernel_primitives([list(l)]))])
+                candidates += found
             return verified(candidates)
-    # every gradient quadric is an irreducible conic with rational points
-    keys = {}
-    for q, d in zip(quadrics, descriptions):
-        flat = canonical_vector([x for row in q.gram for x in row])
-        keys.setdefault(flat, (q, d))
-    distinct = list(keys.values())
-    if len(distinct) == 1:
-        return verified([distinct[0][1][1]])
-    return verified(_conic_pair_candidates(distinct[0][0], distinct[1][0]))
+        verdict = is_isotropic(q)
+        if verdict.kind is IsotropyKind.ANISOTROPIC:
+            return None
+        if verdict.kind is IsotropyKind.DEGENERATE:
+            # rank 2 and irreducible (a rank-1 quadric is c l^2 and splits):
+            # the only rational zero is the radical point
+            return verified(verdict.radical_basis)
+        conics.setdefault(canonical_vector([x for row in q.gram for x in row]), q)
+    # two conics are distinct: were every gradient quadric c_i Q, Euler's
+    # identity would give F = L Q, and 3 c_i Q = c_i Q + L d_i Q forces L = 0
+    qa, qb, *_ = conics.values()
+    return verified(_conic_pair_candidates(qa, qb))

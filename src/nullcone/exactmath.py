@@ -375,7 +375,7 @@ def exact_divide(f: Poly, g: Poly) -> Poly | None:
         raise ValueError("variable-count mismatch")
     (a, big_f), (b, big_g) = primitive_part(f), primitive_part(g)
     q, s = integral_divide(big_f, big_g), ratio(a, b)
-    return None if q is None else Poly(f.nvars, {e: c * s for e, c in q.terms.items()})
+    return None if q is None else Poly._of(f.nvars, {k: c * s for k, c in q.packed.items()})
 
 
 # ---------------------------------------------------------------------------

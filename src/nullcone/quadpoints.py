@@ -524,7 +524,8 @@ def _lagrange(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _dense_zero_search(gram: list[list[int]], budget: int) -> tuple[int, ...] | None:
-    """Bounded direct search for a nontrivial zero of an integer Gram matrix.
+    """Bounded direct search for a nontrivial zero of an integer Gram matrix
+    of size n >= 2 (`isotropic_vector` calls it from rank 4 on).
 
     Enumerates primitive assignments of all-but-one coordinate by increasing
     height and solves the remaining coordinate exactly; a rational root is
@@ -537,8 +538,6 @@ def _dense_zero_search(gram: list[list[int]], budget: int) -> tuple[int, ...] | 
             axis = [0] * n
             axis[i] = 1
             return tuple(axis)
-    if n < 2:
-        return None
     others = [tuple(j for j in range(n) if j != pos) for pos in range(n)]
     evals = 0
     for v in iter_primitive_vectors(n - 1):

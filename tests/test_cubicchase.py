@@ -17,7 +17,16 @@ from nullcone.cubicchase import (
     ternary_singular_point,
     third_point_on_line,
 )
-from nullcone.exactmath import Poly, canonical_vector, echelon, kernel_basis, primitive_vector
+from nullcone.exactmath import (
+    Poly,
+    canonical_vector,
+    echelon,
+    enum_key,
+    height,
+    iter_primitive_vectors,
+    kernel_basis,
+    primitive_vector,
+)
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass, Point
 
 from helpers import (
@@ -31,6 +40,7 @@ from helpers import (
     on_line,
     plant_null_form,
     plant_sparse_form,
+    seeded_ternary_cubics,
     transform_point,
     unimodular_matrix,
 )
@@ -83,8 +93,6 @@ def test_third_point_errors():
 
 
 def test_third_point_random_planted():
-    from nullcone.exactmath import iter_primitive_vectors
-
     rng = random.Random(47)
     found = 0
     for _ in range(40):
@@ -468,16 +476,22 @@ def test_inflection_matches_hessian():
         assert is_flex == (hessian_det(DIAG3, pt) == 0)
 
 
-def test_inflection_g_independent_of_d():
-    d = Divisor((1, 1, 1))
-    is_flex_plain, _ = inflection_test(DIAG3, (-1, 1, 0))
-    is_flex_d, g = inflection_test(DIAG3, (-1, 1, 0), d)
-    assert is_flex_plain == is_flex_d
-    # with d supplied, g leaves the span of d and e when possible
+def test_inflection_g_spans_the_tangent_line():
+    # g spans the tangent line ker T(e, e, -) with e, so (d, e, g) has rank 3
+    # exactly when d is off that line: T(e, e, d) != 0
+    _, g = inflection_test(DIAG3, (-1, 1, 0))
     rows = [[Fraction(c) for c in (1, 1, 1)],
             [Fraction(c) for c in (-1, 1, 0)],
             [Fraction(c) for c in divisor_coords(g)]]
     assert len(echelon(rows)[1]) == 3
+    rng = random.Random(25)
+    for _ in range(50):
+        form, e = plant_null_form(rng, 3, 4)
+        g = divisor_coords(inflection_test(form, e)[1])
+        on_line = tuple(u + v for u, v in zip(e, g))
+        for d in (nonzero_vector(rng, 3, 3), on_line):
+            independent = len(echelon([list(d), list(e), list(g)])[1]) == 3
+            assert independent == (form.triple(e, e, d) != 0)
 
 
 def test_inflection_errors():
@@ -550,18 +564,18 @@ def test_singular_point_errors():
 
 
 def test_singular_point_agrees_with_is_singular_scan():
-    # exhaustive scan of small points double-checks the verdicts above
+    # a scan of the points of height <= 3 double-checks the contract: the
+    # least singular point by enum_key, or None when there is none
     forms = [NODAL, DIAG3,
              IntersectionForm(3, {(0, 0, 2): 1, (1, 1, 2): 1, (2, 2, 2): -3})]
-    from nullcone.exactmath import iter_primitive_vectors
-
+    forms += seeded_ternary_cubics(random.Random(514), 5)
     for form in forms:
         got = ternary_singular_point(form)
         brute = [
-            v for v in iter_primitive_vectors(3, max_height=6)
+            v for v in iter_primitive_vectors(3, max_height=3)
             if form.cube(v) == 0 and form.square_class(v).is_zero
         ]
-        if got is None:
-            assert brute == []
-        else:
-            assert canon(got) in {canonical_vector(v) for v in brute}
+        if brute:
+            assert canon(got) == canonical_vector(min(brute, key=enum_key))
+        elif got is not None:
+            assert height(canon(got)) > 3 and is_singular_at(form, got)

@@ -331,21 +331,27 @@ def test_exact_divide_integer_input_gives_exact_quotient():
 
 
 def test_exact_divide_builds_only_the_quotient(monkeypatch):
-    # the remainder is updated in place: one Poly, the quotient, per call
+    # the remainder is updated in place: the only Polys built, by either
+    # constructor, are integral_divide's quotient and its scaled copy
     rng = random.Random(6)
     f = random_linear_poly(rng, 5, 5)
     g = random_quadric_poly(rng, 5, 5)
     product = f * g
     built = []
-    init = Poly.__init__
+    init, of = Poly.__init__, Poly._of.__func__
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
+    def counting_of(cls, *args, **kwargs):
+        built.append(1)
+        return of(cls, *args, **kwargs)
+
     monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(Poly, "_of", classmethod(counting_of))
     assert exact_divide(product, f) == g
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
