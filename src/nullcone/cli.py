@@ -324,8 +324,8 @@ def _cmd_analyze(args) -> int:
         f"c2.D: {rat_str(c2.pair(d))}",
         f"square_class(D): {_vec_str(form.square_class(d).coords)}",
     ]
-    fac = factor_cubic(form)
-    lines.append(f"cubic_factorization: {fac.kind.value}")
+    kind = factor_cubic(form).kind.value if form.entries else "zero"
+    lines.append(f"cubic_factorization: {kind}")
     if h is not None:
         flags = positivity_flags(form, d, h)
         lines.append(

@@ -13,19 +13,20 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
 
-from .cubicfactor import factor_quadratic_form
+from .cubicfactor import FactorKind, factor_cubic
 from .exactmath import (
-    Poly,
     Rat,
     canonical_vector,
+    echelon,
     enum_key,
+    is_perfect_square,
     iter_kernel_primitives,
+    iter_primitive_vectors,
     kernel_basis,
     primitive_vector,
-    rational_roots,
+    ratio,
 )
 from .nsring import Divisor, IntersectionForm, LinearClass, Point, _as_divisor
-from .quadpoints import IsotropyKind, QuadraticForm, is_isotropic
 
 
 def _on_cubic(form: IntersectionForm, d, what: str) -> Point:
@@ -261,140 +262,128 @@ def _flex_value(form: IntersectionForm, point: Point) -> tuple[Rat, Divisor]:
 # singular points of ternary cubics: a complete decision procedure
 
 
-def _gradient_quadrics(form: IntersectionForm) -> list[QuadraticForm]:
-    n, t = form.rank, form.entries
-    out = []
-    for i in range(n):
-        q = QuadraticForm(tuple(
-            tuple(t.get(tuple(sorted((a, b, i))), 0) for b in range(n)) for a in range(n)
-        ))
-        if not q.is_zero:
-            out.append(q)
-    return out
+def _quotient(quadrics: list[dict], d: int) -> tuple[list, dict]:
+    """(S/J)_d, d >= 2, for the ideal J of the gradient quadrics: the
+    standard monomials and the normal form of every monomial of degree d as
+    coordinates on them.  A monomial is a sorted index tuple, as the form's
+    entry keys are: x_0^2 x_2 is (0, 0, 2).  The Macaulay matrix J_d has a
+    row m q for each quadric q and monomial m of degree d - 2, over the
+    monomials of degree d; the standard monomials are the free columns of its
+    `echelon` form, and coordinate i, as a functional on S_d, is the i-th
+    `kernel_basis` vector of J_d up to scale."""
+    cols = list(itertools.combinations_with_replacement(range(3), d))
+    index = {m: c for c, m in enumerate(cols)}
+    rows = []
+    for m in itertools.combinations_with_replacement(range(3), d - 2):
+        for q in quadrics:
+            row = [0] * len(cols)
+            for e, c in q.items():
+                row[index[tuple(sorted(m + e))]] = c
+            rows.append(row)
+    ech, pivots = echelon(rows)
+    free = [c for c in range(len(cols)) if c not in pivots]
+    nf = {cols[f]: [int(f == g) for g in free] for f in free}
+    for row, p in zip(ech, pivots):
+        nf[cols[p]] = [ratio(-row[f], row[p]) for f in free]
+    return [cols[f] for f in free], nf
 
 
-def _line_candidates(l: tuple[int, ...], quadrics: list[QuadraticForm]):
-    """Points of the line {l = 0} where all quadrics can vanish: the roots on
-    the line of the first quadric that does not vanish on it, or None when
-    every quadric vanishes on the whole line."""
-    v1, v2 = kernel_basis([list(l)])
-    for q in quadrics:
-        a, b, c = q.evaluate(v1), q.bilinear(v1, v2), q.evaluate(v2)
-        if a or b or c:
+def _trace_point(quadrics: list[dict], standard: list, nf: dict) -> list[Rat]:
+    """(tr M_0 : tr M_1 : tr M_2), M_k multiplication by x_k / h on (S/J)_D,
+    in the first degree D >= 3 with dim (S/J)_D = dim (S/J)_{D+1} = tau <= D.
+    By Gotzmann persistence (S/J)_D is then the ring of the singular scheme
+    Z, and tr M_k sums x_k(p) / h(p) over Z with multiplicity: a Z at one
+    point P gives P.  An irreducible cubic has tau <= 4, so D <= 5."""
+    for d in range(3, 6):
+        upper, nf_up = _quotient(quadrics, d + 1)
+        if len(upper) == len(standard) <= d:
             break
+        standard, nf = upper, nf_up
     else:
-        return None
-    candidates = [
-        primitive_vector([r * u + v for u, v in zip(v1, v2)]) for r in rational_roots([a, 2 * b, c])
-    ]
-    if a == 0:
-        candidates.append(tuple(v1))
-    return candidates
-
-
-def _sylvester_resultant(q1: QuadraticForm, q2: QuadraticForm) -> Poly:
-    """Resultant in the last variable of two ternary quadrics, as a binary form.
-
-    Each quadric is a2 z^2 + a1 z + a0, the a_k binary forms; vanishing
-    leading a_k are dropped, and the (2, 2), (2, 1) and (1, 1) closed forms
-    cover the rest (the (1, 2) resultant is the (2, 1) one, sign (-1)^2).
-    """
-
-    def coeff_polys(q: QuadraticForm) -> list[Poly]:
-        g = q.gram
-        c2 = Poly(2, {(0, 0): g[2][2]})
-        c1 = Poly(2, {(1, 0): 2 * g[0][2], (0, 1): 2 * g[1][2]})
-        c0 = Poly(2, {(2, 0): g[0][0], (1, 1): 2 * g[0][1], (0, 2): g[1][1]})
-        return list(itertools.dropwhile(lambda c: c.is_zero, (c2, c1, c0)))
-
-    a, b = sorted((coeff_polys(q1), coeff_polys(q2)), key=len, reverse=True)
-    if len(b) < 2:
-        raise AssertionError("rank-3 quadric must involve the eliminated variable")
-    if len(a) == 2:
-        return a[0] * b[1] - a[1] * b[0]
-    a2, a1, a0 = a
-    if len(b) == 2:
-        b1, b0 = b
-        return a2 * b0 * b0 - a1 * b0 * b1 + a0 * b1 * b1
-    b2, b1, b0 = b
-    u = a2 * b0 - a0 * b2
-    return u * u - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
-
-
-def _conic_pair_candidates(qa: QuadraticForm, qb: QuadraticForm) -> list[tuple[int, ...]]:
-    res = _sylvester_resultant(qa, qb)
-    if res.is_zero:
-        raise AssertionError("two distinct irreducible conics share a component")
-    max_x = max(e[0] for e in res.terms)
-    coeffs = [
-        sum(c for e, c in res.terms.items() if e[0] == k)
-        for k in range(max_x, -1, -1)
-    ]
-    rays = []
-    if any(c != 0 for c in coeffs):
-        for r in sorted(set(rational_roots(coeffs))):
-            rays.append((r, 1))
-    if res.evaluate((1, 0)) == 0:
-        rays.append((1, 0))
-    candidates: list[tuple[int, ...]] = [(0, 0, 1)]
-    for x0, y0 in rays:
-        for q in (qa, qb):
-            spec = [
-                q.gram[2][2],
-                2 * (q.gram[0][2] * x0 + q.gram[1][2] * y0),
-                q.evaluate((x0, y0, 0)),
+        raise AssertionError("the Jacobian quotient did not settle by degree 6")
+    tau = len(standard)
+    # mult[k][c][r]: coordinate r of x_k times the standard monomial c
+    mult = [[nf_up[tuple(sorted(m + (k,)))] for m in standard] for k in range(3)]
+    # M_h is invertible when h vanishes at no point of Z, which has at most
+    # three: a plane holds at most 4 of the 13 points of height 1
+    for h in iter_primitive_vectors(3, max_height=1):
+        rows = [
+            [sum(hk * mk[c][r] for hk, mk in zip(h, mult)) for c in range(tau)]
+            + [mk[c][r] for mk in mult for c in range(tau)]
+            for r in range(tau)
+        ]
+        ech, pivots = echelon(rows)
+        if pivots == list(range(tau)):
+            # row i is a multiple of (e_i | row i of M_h^-1 M_k, k = 0, 1, 2)
+            return [
+                sum(ratio(row[tau * (k + 1) + i], row[i]) for i, row in enumerate(ech))
+                for k in range(3)
             ]
-            if all(c == 0 for c in spec):
-                continue
-            for z in rational_roots(spec):
-                candidates.append(primitive_vector((x0, y0, z)))
-            break
-    return candidates
+    raise AssertionError("every linear form of height 1 meets the singular scheme")
+
+
+def _irreducible_candidate(form: IntersectionForm) -> list[Rat] | None:
+    """The one point that can be the rational singular point of a
+    Q-irreducible ternary cubic, or None when there is none."""
+    # T(x, x, e_k), the k-th partial derivative divided by 3
+    polars = [form._polar(tuple(int(i == k) for i in range(3))) for k in range(3)]
+    quadrics = [{(a, b): v if a == b else 2 * v for (a, b), v in p.items() if v} for p in polars]
+    standard, nf = _quotient(quadrics, 3)
+    if len(standard) > 1:
+        return _trace_point(quadrics, standard, nf)
+    # the kernel of J_3 holds v_3(P) = (m(P))_m for a singular P, so a kernel
+    # line is lambda = c v_3(P), and P_j = lambda[x_i^2 x_j] / (c P_i^2)
+    for i in range(3):
+        if standard and nf[(i, i, i)][0]:
+            return [nf[tuple(sorted((i, i, j)))][0] for j in range(3)]
+    return None
+
+
+def _line_conic_points(l: tuple[int, ...], q) -> list[list[Rat]]:
+    """The rational singular points of the cubic l q, q a Q-irreducible
+    conic: the rational points of q on the line l = 0, and the vertex of q
+    when q has rank 2."""
+    v1, v2 = kernel_basis([list(l)])
+    a, b, c = q.evaluate(v1), q.bilinear(v1, v2), q.evaluate(v2)
+    points = [list(v) for v in kernel_basis(q.gram)]
+    r = is_perfect_square(b * b - a * c)
+    if r is not None:
+        # the roots of q(s v1 + t v2) = a s^2 + 2 b s t + c t^2
+        roots = [(r - b, a), (-r - b, a)] if a else [(1, 0), (c, -2 * b)]
+        points += [[s * x + t * y for x, y in zip(v1, v2)] for s, t in roots]
+    return points
 
 
 def ternary_singular_point(form: IntersectionForm) -> Divisor | None:
     """The least rational singular point of a ternary cubic by `enum_key`, or
     None when it has none.
 
-    The singular locus S is the common rational zero set of the gradient
-    quadrics, read in order up to the first one that decides: a split quadric
-    gives lines whose candidates cover S, an anisotropic one leaves S empty,
-    and a degenerate one has a single rational zero r, so S is {r} or empty.
-    When every quadric is an isotropic conic, two distinct ones meet in at
-    most four points, which cover S."""
+    A reducible cubic's singular points are read off `factor_cubic`'s
+    factors: the whole line l of l^2 m or l^3 (its first point), the pairwise
+    crossings of three lines, and for l q the points of q on l and the vertex
+    of q.  On a Q-irreducible cubic, two singular points would span a line
+    meeting the cubic four times, so a line on it; so there is at most one
+    rational singular point P, and a candidate that fails the singularity
+    check proves there is none.  The kernel of J_3, the degree-3 part of the
+    Jacobian ideal, holds v_3(P) = (m(P))_m: when that kernel is at most a
+    line, P is read off its vector; otherwise (cusps, and three conjugate
+    lines) it is the trace point of the Jacobian quotient (`_trace_point`)."""
     if form.rank != 3:
         raise ValueError("singular-point search is specific to rank 3")
-    quadrics = _gradient_quadrics(form)
-    if not quadrics:
+    if not form.entries:
         raise ValueError("the cubic is identically zero")
-
-    def verified(points) -> Divisor | None:
-        keys = map(canonical_vector, points)
-        good = {key for key in keys if all(q.evaluate(key) == 0 for q in quadrics)}
-        return Divisor(min(good, key=enum_key)) if good else None
-
-    conics = {}
-    for q in quadrics:
-        split = factor_quadratic_form(q)
-        if split is not None:
-            candidates: list[tuple[int, ...]] = []
-            for l in dict.fromkeys(split[:2]):
-                found = _line_candidates(l, quadrics)
-                if found is None:
-                    # the cubic is singular along l, so it is l^2 m or l^3 and
-                    # S is exactly l: its first point is the least
-                    return verified([next(iter_kernel_primitives([list(l)]))])
-                candidates += found
-            return verified(candidates)
-        verdict = is_isotropic(q)
-        if verdict.kind is IsotropyKind.ANISOTROPIC:
-            return None
-        if verdict.kind is IsotropyKind.DEGENERATE:
-            # rank 2 and irreducible (a rank-1 quadric is c l^2 and splits):
-            # the only rational zero is the radical point
-            return verified(verdict.radical_basis)
-        conics.setdefault(canonical_vector([x for row in q.gram for x in row]), q)
-    # two conics are distinct: were every gradient quadric c_i Q, Euler's
-    # identity would give F = L Q, and 3 c_i Q = c_i Q + L d_i Q forces L = 0
-    qa, qb, *_ = conics.values()
-    return verified(_conic_pair_candidates(qa, qb))
+    fac = factor_cubic(form)
+    if fac.kind is FactorKind.IRREDUCIBLE:
+        candidates = [_irreducible_candidate(form)]
+    elif fac.kind is FactorKind.THREE_LINEAR:
+        candidates = [
+            [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+            for u, v in itertools.combinations(fac.linears, 2)
+        ]
+    elif fac.kind is FactorKind.LINEAR_TIMES_QUADRIC:
+        candidates = _line_conic_points(fac.linears[0], fac.quadric)
+    else:
+        candidates = [next(iter_kernel_primitives([list(fac.linears[0])]))]
+    keys = {canonical_vector(p) for p in candidates if p is not None and any(p)}
+    good = [key for key in keys if not any(Point(form, key).s)]
+    return Divisor(min(good, key=enum_key)) if good else None

@@ -307,6 +307,21 @@ def test_analyze_with_ample_threshold(capsys):
     assert "positivity_flags(D against H):" in out
 
 
+def test_analyze_and_certify_an_all_zero_table(tmp_path, capsys):
+    # the zero cubic has no factorization, but every other line of the
+    # profile is defined; certify reports the document as inconsistent
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(
+        {"rank": 3, "intersection": [], "c2": [1, 0, 0], "divisors": {"D": [1, 0, 0]}}
+    ))
+    assert main(["analyze", "--input", str(path), "--divisor", "D"]) == 0
+    out = capsys.readouterr().out
+    for line in ["rank: 3", "cube(D): 0", "nu(D): 0", "c2.D: 1", "cubic_factorization: zero"]:
+        assert line in out.splitlines()
+    assert main(["certify", "--input", str(path), "--divisor", "D"]) == 2
+    assert "conclusion: input_inconsistent" in capsys.readouterr().out
+
+
 def test_factor_subcommand(capsys):
     assert main(["factor", "--input", fixture_path("b5_split_isotropic")]) == 0
     out = capsys.readouterr().out

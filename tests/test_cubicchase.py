@@ -1,8 +1,11 @@
 """Null-cone point chasing: lines, residuals, walks, flexes, singular points."""
 
+import contextlib
 from fractions import Fraction
 import itertools
 import random
+import signal
+import time
 
 import pytest
 
@@ -17,6 +20,7 @@ from nullcone.cubicchase import (
     ternary_singular_point,
     third_point_on_line,
 )
+from nullcone.cubicfactor import FactorKind, factor_cubic
 from nullcone.exactmath import (
     Poly,
     canonical_vector,
@@ -25,6 +29,7 @@ from nullcone.exactmath import (
     height,
     iter_primitive_vectors,
     kernel_basis,
+    mat_vec,
     primitive_vector,
 )
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass, Point
@@ -506,7 +511,8 @@ def test_inflection_errors():
 
 
 # ---------------------------------------------------------------------------
-# ternary_singular_point: each decision path
+# ternary_singular_point: each factorization kind, the kernel read-off and
+# the trace point
 
 
 def test_singular_point_found_nodal():
@@ -516,8 +522,8 @@ def test_singular_point_found_nodal():
 
 
 def test_singular_point_conic_pair():
-    # 2(x0^3 + x1^3 + x2^3 - 3 x0 x1 x2): gradient quadrics are three
-    # distinct irreducible conics meeting at the singular point (1,1,1)
+    # 2(x0^3 + x1^3 + x2^3 - 3 x0 x1 x2) is (x0 + x1 + x2) times a rank-2
+    # conic; the conic's vertex (1,1,1) is the singular point
     form = IntersectionForm(3, {(0, 0, 0): 2, (1, 1, 1): 2, (2, 2, 2): 2, (0, 1, 2): -1})
     got = ternary_singular_point(form)
     assert canon(got) == (1, 1, 1)
@@ -525,8 +531,8 @@ def test_singular_point_conic_pair():
 
 
 def test_singular_point_from_a_point_description():
-    # 3 x0 (x1^2 - 2 x2^2): the gradient quadric x1^2 - 2 x2^2 is irreducible
-    # of rank 2, so its only rational zero is its radical point (1, 0, 0)
+    # 3 x0 (x1^2 - 2 x2^2): the conic x1^2 - 2 x2^2 has no rational point on
+    # the line x0 = 0, so the singular point is its vertex (1, 0, 0)
     form = IntersectionForm(3, {(0, 1, 1): 1, (0, 2, 2): -2})
     got = ternary_singular_point(form)
     assert canon(got) == (1, 0, 0)
@@ -546,8 +552,8 @@ def test_singular_point_on_a_whole_singular_line():
 
 
 def test_singular_point_none_by_anisotropy():
-    # d/dx2 of 3 x2 (x0^2 + x1^2 - x2^2) is x0^2 + x1^2 - 3 x2^2, which has
-    # no rational zeros: the singular locus is decided empty immediately
+    # 3 x2 (x0^2 + x1^2 - x2^2): the rank-3 conic has no vertex and no
+    # rational point on the line x2 = 0, so there is no singular point
     form = IntersectionForm(3, {(0, 0, 2): 1, (1, 1, 2): 1, (2, 2, 2): -3})
     assert ternary_singular_point(form) is None
 
@@ -579,3 +585,68 @@ def test_singular_point_agrees_with_is_singular_scan():
             assert canon(got) == canonical_vector(min(brute, key=enum_key))
         elif got is not None:
             assert height(canon(got)) > 3 and is_singular_at(form, got)
+
+
+X0, X1, X2 = (Poly.variable(3, i) for i in range(3))
+# Q-irreducible cubics the seeded corpus barely reaches, and their answers
+RARE_SINGULAR_CUBICS = {
+    # a cusp, tau = 2
+    "cusp": (form_of_cubic(X1 * X1 * X2 - X0 * X0 * X0), (0, 0, 1)),
+    # three concurrent conjugate lines, tau = 4, meeting at the vertex
+    "cone": (form_of_cubic(X0 * X0 * X0 - 2 * X1 * X1 * X1), (0, 0, 1)),
+    # the norm form of Q(2^(1/3)): three conjugate lines, three conjugate nodes
+    "norm": (form_of_cubic(X0 ** 3 + 2 * X1 ** 3 + 4 * X2 ** 3 - 6 * X0 * X1 * X2), None),
+    "nodal": (NODAL, (0, 0, 1)),
+}
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the body after `seconds`, so that a search that
+    stalls fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", sorted(RARE_SINGULAR_CUBICS))
+def test_singular_point_of_rare_cubics_as_given_and_moved(name):
+    # the move has 73-bit entries; a search whose cost grows with the
+    # coefficients' factorizations takes minutes on it
+    form, p = RARE_SINGULAR_CUBICS[name]
+    u, u_inv = unimodular_matrix(random.Random(70), 3, 70)
+    moved = None if p is None else canonical_vector(mat_vec(u_inv, p))
+    for f, want in ((form, p), (change_basis(form, u), moved)):
+        with _deadline(5):
+            start = time.perf_counter()
+            got = ternary_singular_point(f)
+            elapsed = time.perf_counter() - start
+        assert (None if got is None else canon(got)) == want
+        assert elapsed < 0.05
+
+
+def test_singular_point_moves_with_the_basis():
+    # GL_3(Z) equivariance: written in the basis of the columns of u, the
+    # singular point P of a Q-irreducible cubic is u^-1 P
+    found = [
+        (form, ternary_singular_point(form))
+        for form in seeded_ternary_cubics(random.Random(514), 20)
+        if factor_cubic(form).kind is FactorKind.IRREDUCIBLE
+    ]
+    cases = [(form, canon(p)) for form, p in found if p is not None]
+    assert len(cases) == 20
+    rng = random.Random(26)
+    with _deadline(10):
+        for form, p in cases:
+            for steps in (20, 60):
+                u, u_inv = unimodular_matrix(rng, 3, steps)
+                got = ternary_singular_point(change_basis(form, u))
+                assert canon(got) == canonical_vector(mat_vec(u_inv, p))

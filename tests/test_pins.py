@@ -139,8 +139,8 @@ def test_quadric_layer_rank5_pinned():
 def test_ternary_singular_points_pinned():
     # random rank-3 forms, forms singular at (0, 0, 1) in a moved basis, the
     # products l q, l1 l2 l3, l^2 m and l^3, and the Hesse pencil: every
-    # description of a gradient quadric's zero set and every degree pair of
-    # the conic-pair resultant occurs
+    # factorization kind occurs, and the irreducible cubics reach both the
+    # kernel read-off and the trace point
     rows = []
     for form in seeded_ternary_cubics(random.Random(514), 20):
         point = ternary_singular_point(form)

@@ -174,6 +174,28 @@ def test_secant_formula_runs_in_one_place():
     assert callers == {"sample_points": True, "second_intersection": True}
 
 
+def test_singular_point_search_decides_no_isotropy_and_finds_no_roots():
+    # `ternary_singular_point` reads reducible cubics off `factor_cubic` and
+    # irreducible ones off the Jacobian ideal by linear algebra; conic
+    # isotropy and the rational roots of a resultant factor integers that
+    # grow with the coefficients
+    banned = {"rational_roots", "factor_quadratic_form", "is_isotropic", "isotropic_vector", "Poly"}
+    tree = ast.parse((Path(nullcone.__file__).parent / "cubicchase.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "quadpoints":
+            found.append(f"cubicchase.py:{node.lineno}: quadpoints")
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        )
+        if name in banned:
+            found.append(f"cubicchase.py:{node.lineno}: {name}")
+    assert found == []
+
+
 def _names_private_type(annotation) -> bool:
     """Whether an annotation names a `_`-prefixed type, also inside a
     string annotation."""
