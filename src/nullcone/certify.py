@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cubicchase import _flex_value, _tangent_residuals, chase, ternary_singular_point
+from .cubicchase import _flex_value, _singular_point, _tangent_residuals, chase
 from .cubicfactor import FactorKind, factor_cubic
 from .exactmath import (
     Rat,
@@ -176,7 +176,7 @@ class _Pipeline:
         if fac.kind is FactorKind.IRREDUCIBLE:
             self.caveats.append(CAVEAT_QFACTOR)
             if rank == 3:
-                return self.rule_rank3()
+                return self.rule_rank3(fac)
             trace = chase(form, c2, self.point, self.opts.depth, self.opts.budget)
             if trace.witness is not None:
                 self.witnesses["E"] = trace.witness
@@ -241,13 +241,14 @@ class _Pipeline:
         self.check("cube(E)", "cube", self.form.cube(e), e.coords)
         return self.finish(Conclusion.CERTIFIED, RULE_MAIN_REDUCIBLE)
 
-    def rule_rank3(self) -> Certificate:
-        """The rank-3 rule on an irreducible cubic: residuals through its
-        singular point P, or the tangent line at a smooth D."""
+    def rule_rank3(self, fac) -> Certificate:
+        """The rank-3 rule on an irreducible cubic, factored as `fac`:
+        residuals through its singular point P, or the tangent line at a
+        smooth D."""
         form, c2, d = self.form, self.c2, self.d
         # every tangent line below has a residual: a line on the cubic would be
         # a rational line, and its linear form would divide the irreducible cubic
-        p = ternary_singular_point(form)
+        p = _singular_point(form, fac)
         if p is not None:
             self.witnesses["P"] = p
             point = Point(form, p)

@@ -29,6 +29,7 @@ from .nsring import (
     Divisor,
     IntersectionForm,
     LinearClass,
+    Point,
     nef_threshold,
     positivity_flags,
 )
@@ -316,13 +317,19 @@ def _cmd_analyze(args) -> int:
     form, c2 = parsed.form, parsed.c2
     d = _get_divisor(parsed, args.divisor)
     h = _get_divisor(parsed, args.ample) if args.ample else None
-    nu = form.numerical_dimension(d)
+    # one tangent pass at D gives cube, nu and the square class; the zero
+    # class has no `Point`, and all three vanish there
+    if d.is_zero:
+        cube, nu, square = 0, 0, d.coords
+    else:
+        point = Point(form, d, "D")
+        cube, nu, square = point.cube(), point.nu(), point.square_class().coords
     lines = [
         f"rank: {form.rank}",
-        f"cube(D): {rat_str(form.cube(d))}",
+        f"cube(D): {rat_str(cube)}",
         f"nu(D): {nu}",
         f"c2.D: {rat_str(c2.pair(d))}",
-        f"square_class(D): {_vec_str(form.square_class(d).coords)}",
+        f"square_class(D): {_vec_str(square)}",
     ]
     kind = factor_cubic(form).kind.value if form.entries else "zero"
     lines.append(f"cubic_factorization: {kind}")

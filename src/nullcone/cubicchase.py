@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
 
-from .cubicfactor import FactorKind, factor_cubic
+from .cubicfactor import Factorization, FactorKind, factor_cubic
 from .exactmath import (
     Rat,
     canonical_vector,
@@ -372,7 +372,12 @@ def ternary_singular_point(form: IntersectionForm) -> Divisor | None:
         raise ValueError("singular-point search is specific to rank 3")
     if not form.entries:
         raise ValueError("the cubic is identically zero")
-    fac = factor_cubic(form)
+    return _singular_point(form, factor_cubic(form))
+
+
+def _singular_point(form: IntersectionForm, fac: Factorization) -> Divisor | None:
+    """`ternary_singular_point` of a nonzero rank-3 form whose cubic factors
+    as `fac`, for a caller that has factored it already."""
     if fac.kind is FactorKind.IRREDUCIBLE:
         candidates = [_irreducible_candidate(form)]
     elif fac.kind is FactorKind.THREE_LINEAR:

@@ -580,8 +580,9 @@ def echelon(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[int]]
 
     Fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22 (1968)): a step
     replaces a row by the primitive part of a row - b pivot_row, a > 0 the
-    pivot and b the row's entry.  So each row is the rational RREF's row
-    scaled to a primitive vector, its pivot positive and alone in its column.
+    pivot and b the row's entry, one gcd and an exact division in ints.  So
+    each row is the rational RREF's row scaled to a primitive vector, its
+    pivot positive and alone in its column.
     """
     m = [primitive_vector(row) for row in rows]
     ncols = len(m[0]) if m else 0
@@ -599,7 +600,9 @@ def echelon(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[int]]
         for i, row in enumerate(m):
             b = row[col]
             if b and i != r:
-                m[i] = primitive_vector([a * x - b * y for x, y in zip(row, p)])
+                row = [a * x - b * y for x, y in zip(row, p)]
+                g = math.gcd(*row)
+                m[i] = tuple(x // g for x in row) if g > 1 else tuple(row)
         pivots.append(col)
         if len(pivots) == len(m):
             break

@@ -226,10 +226,11 @@ class Point:
     x over the common denominator den, s = T(x, x, -) from one `_square` pass,
     and the number of zero coordinates.  The class as given is `divisor`.
 
-    By Euler's identity cube(p) = s . x / den^3, nu(p) is `_nu(x, s)` and
-    T(p, p, y) = s . y / den^2, so none of them makes a second pass.  The
-    canonical key is made on first use.  A point need not be on the cubic;
-    `what` names it in the error for a zero class."""
+    By Euler's identity cube(p) = s . x / den^3, nu(p) is `_nu(x, s)`,
+    T(p, p, y) = s . y / den^2 and the square class T(p, p, -) is s / den^2,
+    so none of them makes a second pass.  The canonical key is made on first
+    use.  A point need not be on the cubic; `what` names it in the error for
+    a zero class."""
 
     __slots__ = ("form", "divisor", "x", "den", "s", "zeros", "_key")
 
@@ -254,6 +255,10 @@ class Point:
 
     def nu(self) -> int:
         return self.form._nu(self.x, self.s)
+
+    def square_class(self) -> LinearClass:
+        """T(p, p, -)."""
+        return LinearClass(tuple(ratio(t, self.den ** 2) for t in self.s))
 
     def triple(self, y) -> Rat:
         """T(p, p, y)."""

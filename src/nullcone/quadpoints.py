@@ -166,14 +166,18 @@ class QuadraticForm:
         # or 2 u_i for a square; a table of the n unit keys names them (one of
         # all n^2 / 2 pair keys would cost O(n^2) keys of O(n) bits each)
         index = {k: i for i, k in enumerate(unit_keys(n))}
-        g = [[0] * n for _ in range(n)]
+        hessian = [[0] * n for _ in range(n)]
         for key, c in p.packed.items():
             low = key & -key
             i, j = (index[key >> 1],) * 2 if low == key else (index[key - low], index[low])
-            # a half is a Fraction only for an odd cross coefficient
-            half = c // 2 if c % 2 == 0 else Fraction(c, 2)
-            g[i][j] = g[j][i] = c if i == j else half
-        return cls(tuple(tuple(row) for row in g))
+            hessian[i][j] = hessian[j][i] = 2 * c if i == j else c
+        return cls.from_hessian(hessian)
+
+    @classmethod
+    def from_hessian(cls, b: Sequence[Sequence]) -> "QuadraticForm":
+        """The form x^T b x / 2 of a symmetric matrix b, whose Hessian is b."""
+        # a half is a Fraction only for an entry that is not an even integer
+        return cls(tuple(tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in row) for row in b))
 
     def to_poly(self) -> Poly:
         n, a, u = self.nvars, self.igram, unit_keys(self.nvars)

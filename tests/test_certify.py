@@ -1,6 +1,7 @@
 """Certificate pipeline: rule selection, witnesses, replayable traces."""
 
 from dataclasses import replace
+import importlib
 import json
 from fractions import Fraction
 import random
@@ -32,7 +33,7 @@ from nullcone.certify import (
 )
 from nullcone.cli import fixture_names, load_fixture, load_fixture_certificate, parse_input, render_json
 from nullcone.cubicchase import Degeneracy, _tangent_section_is_cone, chase
-from nullcone import cubicfactor, exactmath, quadpoints
+from nullcone import cubicchase, cubicfactor, exactmath, quadpoints
 from nullcone.cubicfactor import expand_cubic
 from nullcone.exactmath import Poly, canonical_vector, is_probable_prime, rational_roots, unit_keys
 from nullcone.nsring import Divisor, IntersectionForm, LinearClass, Point
@@ -403,16 +404,11 @@ def test_planted_reducible_factor_search_stays_on_the_tangent_hyperplane(monkeyp
     sections = []
     real_sections = cubicfactor._coordinate_sections
 
-    def spy(f, p, a, d):
-        anchor = []
-        for k in range(d + 1):
-            e = [0] * f.nvars
-            e[p], e[a] = d - k, k
-            anchor.append(f.coeff(tuple(e)))
-        roots = rational_roots(anchor)
+    def spy(coeffs, p, a):
+        roots = rational_roots(coeffs.line(p, a))
         assert len(set(roots)) < len(roots), "section search at a simple anchor root"
-        sections.append(f)
-        return real_sections(f, p, a, d)
+        sections.append(coeffs)
+        return real_sections(coeffs, p, a)
 
     monkeypatch.setattr(cubicfactor, "_coordinate_sections", spy)
     rng = random.Random(17)
@@ -431,40 +427,52 @@ def test_planted_reducible_factor_search_stays_on_the_tangent_hyperplane(monkeyp
     assert searched < 0.05 * total, f"section search on {searched} of {total} inputs"
 
 
-def test_cubic_is_expanded_only_when_a_candidate_factor_survives(monkeypatch):
-    # an irreducible cubic is decided on the intersection table (no root on
-    # the anchor line, or a refutation point off each tangent hyperplane);
-    # a split one is expanded once per factorization, in certify and in
-    # replay alike
-    expansions = []
+def _spy_polynomial_steps(monkeypatch) -> list:
+    """Record every `expand_cubic` and `integral_divide` call the library makes."""
+    calls = []
     real_expand = cubicfactor.expand_cubic
 
-    def counted(form):
-        expansions.append(form)
+    def expand(form):
+        calls.append(("expand_cubic", form))
         return real_expand(form)
 
-    monkeypatch.setattr(cubicfactor, "expand_cubic", counted)
+    monkeypatch.setattr(cubicfactor, "expand_cubic", expand)
+    for module in (cubicfactor, exactmath):
+        real_divide = module.integral_divide
 
-    def run(name_or_case):
-        if isinstance(name_or_case, str):
-            parsed = parse_input(load_fixture(name_or_case))
-            name_or_case = (parsed.form, parsed.c2, parsed.divisors["D"])
-        form, c2, d = name_or_case
-        cert = certify(form, c2, d)
-        assert replay(form, c2, cert)
-        # certify and replay each factor once per recorded factor_kind check
-        factorizations = 2 * sum(chk.op == "factor_kind" for chk in cert.trace)
-        assert factorizations
-        return factorizations
+        def divide(f, g, real_divide=real_divide):
+            calls.append(("integral_divide", f))
+            return real_divide(f, g)
 
+        monkeypatch.setattr(module, "integral_divide", divide)
+    return calls
+
+
+def test_certify_and_replay_factor_on_the_table_alone(monkeypatch):
+    # certify and replay factor the cubic on the intersection table: a
+    # candidate is divided by checking the polarized identity entry by entry,
+    # and a cubic with no pure power is sheared on the table, so no cubic is
+    # expanded and no polynomial divided, reducible or not
+    calls = _spy_polynomial_steps(monkeypatch)
+    cases = []
+    for name in fixture_names():
+        parsed = parse_input(load_fixture(name))
+        cases.append((parsed.form, parsed.c2, parsed.divisors["D"]))
     rng = random.Random(40)
     form, d = plant_null_form(rng, 40, 4)
-    dense = (form, annihilator_c2(rng, d, form.square_class(d).coords), d)
-    for case in ("b4_diagonal_irreducible", "b5_diagonal_irreducible", dense):
-        run(case)
-    assert expansions == []
-    factorizations = run("b5_split_isotropic")
-    assert len(expansions) == factorizations
+    cases.append((form, annihilator_c2(rng, d, form.square_class(d).coords), d))
+    planted = [plant_reducible_form(rng, 5 + i % 3) for i in range(20)]
+    planted.append(plant_reducible_form(rng, 40, qmax=3, lmax=1))
+    for form, d in planted:
+        cases.append((form, annihilator_c2(rng, d, form.square_class(d).coords), d))
+    reducible = 0
+    for form, c2, d in cases:
+        cert = certify(form, c2, d)
+        assert replay(form, c2, cert)
+        reducible += cert.rule == RULE_MAIN_REDUCIBLE
+    assert calls == []
+    # b5_split_isotropic, the 20 planted forms and the dense rank-40 one
+    assert reducible == 22
 
 
 def test_semiprime_pure_powers_factor_only_the_anchor_line(monkeypatch):
@@ -556,6 +564,26 @@ def test_rank3_smooth_path_makes_two_triple_calls(monkeypatch):
         assert [c.label for c in cert.trace][-3:] == ["cube(E)", "T(D,D,E)", "T(E,F,F)"]
         assert json.loads(render_json(cert)) == load_fixture_certificate(name)
         assert replay(parsed.form, parsed.c2, cert)
+
+
+def test_rank3_certify_factors_the_cubic_once(monkeypatch):
+    # the rank-3 rule reads the singular point off the factorization the
+    # pipeline has already made, so certify factors each cubic once
+    calls = []
+    real = cubicfactor.factor_cubic
+
+    def counted(form, seed=0):
+        calls.append(form)
+        return real(form, seed)
+
+    for module in (importlib.import_module("nullcone.certify"), cubicchase):
+        monkeypatch.setattr(module, "factor_cubic", counted)
+    for name in ("b3_flex_obstruction", "b3_singular_section", "b3_smooth_tangent"):
+        parsed = parse_input(load_fixture(name))
+        calls.clear()
+        cert = certify(parsed.form, parsed.c2, parsed.divisors["D"])
+        assert cert.rule in (RULE_B3, RULE_NONE) and parsed.form.rank == 3
+        assert len(calls) == 1, name
 
 
 def test_sparse_rank200_certify_and_replay_under_a_second():

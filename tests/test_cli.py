@@ -20,6 +20,8 @@ from nullcone.cli import (
     render_json,
 )
 
+from nullcone.nsring import IntersectionForm
+
 from helpers import annihilator_c2, plant_sparse_form
 
 FIXTURES = sorted(fixture_names())
@@ -305,6 +307,35 @@ def test_analyze_with_ample_threshold(capsys):
     assert "nef_threshold_t0: 1" in out
     assert "cube(H - t0*D): 0" in out
     assert "positivity_flags(D against H):" in out
+
+
+def test_analyze_makes_one_tangent_pass_at_d(monkeypatch, capsys):
+    # cube(D), nu(D) and the square class read D's one `Point`;
+    # nef_threshold keeps its own pass (the factor search's shear of this
+    # cubic, which has no pure power, makes one more, at another point)
+    calls = []
+    real = IntersectionForm._square
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(IntersectionForm, "_square", counted)
+    assert main(["analyze", "--input", fixture_path("nu1_c2_zero"),
+                 "--divisor", "D", "--ample", "H"]) == 0
+    assert "nef_threshold_t0: 1" in capsys.readouterr().out
+    assert calls.count((1, 0)) == 2
+
+
+def test_analyze_a_zero_divisor(tmp_path, capsys):
+    # the zero class has no tangent pass, and its profile is all zero
+    path = tmp_path / "zero_d.json"
+    path.write_text(json.dumps(
+        {"rank": 2, "intersection": [[0, 0, 0, 1], [1, 1, 1, 2]], "c2": [1, 0], "divisors": {"D": [0, 0]}}
+    ))
+    assert main(["analyze", "--input", str(path), "--divisor", "D"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:5] == ["cube(D): 0", "nu(D): 0", "c2.D: 0", "square_class(D): (0, 0)"]
 
 
 def test_analyze_and_certify_an_all_zero_table(tmp_path, capsys):

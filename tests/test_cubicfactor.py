@@ -11,7 +11,11 @@ import pytest
 from nullcone.cubicfactor import (
     FactorKind,
     Factorization,
+    _GramCoefficients,
+    _PolyCoefficients,
+    _TableCoefficients,
     _coordinate_sections,
+    _rank_exceeds_two,
     _vanishes_at,
     expand_cubic,
     factor_cubic,
@@ -26,6 +30,7 @@ from nullcone.exactmath import (
     frac,
     height,
     integral_divide,
+    kernel_basis,
     primitive_part,
     primitive_vector,
     spiral_key,
@@ -40,6 +45,7 @@ from helpers import (
     form_of_cubic,
     is_exact,
     key_shape_forms,
+    low_rank_gram,
     nonzero_vector,
     plant_reducible_form,
     random_form,
@@ -226,7 +232,46 @@ def _differential_corpus(rng) -> list[IntersectionForm]:
     # refutation point e2 (no x2^3 term) but does not divide
     forms.append(IntersectionForm(3, {(0, 0, 0): -1, (0, 1, 1): 1, (0, 1, 2): -2, (1, 2, 2): 1}))
     forms.extend(parse_input(load_fixture(name)).form for name in fixture_names())
+    for n in (3, 5, 8):
+        # L Q with Q of rank 2, split or not, and of rank 1: three_linear,
+        # l^2 m and l^3 are read off the Gram of Q
+        l, m, k = (lin(_x0_linear(rng, n)) for _ in range(3))
+        for q in (m * k, m * m - 2 * k * k, m * m, l * l):
+            forms.append(form_of_cubic(l * q))
+        forms.append(_sparse_linear_times_quadric(rng, n))
+    # every table one off a planted 6 L Q in a key that the division checks
+    # rather than reads: a dense one, and a sparse one whose check takes the
+    # table's keys and those that l G reaches (a +-1 entry perturbed to 0
+    # leaves the table and is caught there alone)
+    forms.extend(_perturbed(plant_reducible_form(rng, 4)[0]))
+    forms.extend(_perturbed(_sparse_linear_times_quadric(random.Random(7), 6)))
     return forms
+
+
+def _sparse_linear_times_quadric(rng, n: int) -> IntersectionForm:
+    """The form of 6 L Q for L = x0 +- x_j and a sparse Q with x0^2 and three
+    more monomials, each coefficient +-1."""
+    j = rng.randrange(1, n)
+    l = [1] + [0] * (n - 1)
+    l[j] = rng.choice((1, -1))
+    q = Poly.variable(n, 0) ** 2
+    for _ in range(3):
+        a, b = rng.randrange(n), rng.randrange(n)
+        q = q + rng.choice((1, -1)) * Poly.variable(n, a) * Poly.variable(n, b)
+    return form_of_cubic(lin(l) * q)
+
+
+def _perturbed(form: IntersectionForm) -> list[IntersectionForm]:
+    """The tables one off form in one key, by +1 and by -1, for every key
+    that misses p, the first index of its linear factor: the keys through p
+    are read by the division, the others checked."""
+    p = next(i for i, x in enumerate(factor_cubic(form).linears[0]) if x)
+    out = []
+    for key in itertools.combinations_with_replacement(range(form.rank), 3):
+        if p not in key:
+            for delta in (1, -1):
+                out.append(IntersectionForm(form.rank, {**form.entries, key: form.entries.get(key, 0) + delta}))
+    return out
 
 
 def test_factor_cubic_matches_factor_over_Q_of_the_expansion():
@@ -250,33 +295,34 @@ def test_factor_cubic_matches_factor_over_Q_of_the_expansion():
 
 def test_candidates_are_refuted_before_a_division_on_both_sources(monkeypatch):
     # the table and the expanded cubic take one search: a tangent hyperplane
-    # is divided only when the cubic vanishes at its refutation point, and
-    # the table cubic is expanded only for a division
-    divisions, expansions = [], []
-    real_divided, real_expand = cubicfactor._divided, cubicfactor.expand_cubic
+    # is divided only when the cubic vanishes at its refutation point.  The
+    # table divides by the polarized identity and shears its own keys, so
+    # factor_cubic never expands the cubic or divides a polynomial
+    divisions, polys = [], []
+    for source in (cubicfactor._TableCoefficients, cubicfactor._PolyCoefficients):
+        def divide(self, l, real=source.divide):
+            divisions.append(l)
+            return real(self, l)
 
-    def divided(f, cand):
-        divisions.append(cand)
-        return real_divided(f, cand)
-
-    def expand(form):
-        expansions.append(form)
-        return real_expand(form)
-
-    monkeypatch.setattr(cubicfactor, "_divided", divided)
-    monkeypatch.setattr(cubicfactor, "expand_cubic", expand)
+        monkeypatch.setattr(source, "divide", divide)
+    real_expand = cubicfactor.expand_cubic
+    monkeypatch.setattr(cubicfactor, "expand_cubic", lambda form: polys.append(form) or real_expand(form))
+    for module in (cubicfactor, exactmath):
+        monkeypatch.setattr(
+            module, "integral_divide", lambda f, g, real=module.integral_divide: polys.append(f) or real(f, g)
+        )
 
     def counts(form):
         """Divisions made by factor_cubic and by factor_over_Q of the
-        expansion, and expansions made by factor_cubic."""
+        expansion, and polynomial steps made by factor_cubic."""
         divisions.clear()
-        expansions.clear()
+        polys.clear()
         got = factor_cubic(form)
-        table, expanded = len(divisions), len(expansions)
+        table, table_polys = len(divisions), len(polys)
         poly = real_expand(form)
         divisions.clear()
         assert factor_over_Q(poly) == got
-        return table, len(divisions), expanded
+        return table, len(divisions), table_polys
 
     # the anchor root -1 is simple and its candidate x0 + x1 is refuted at e2
     b4 = parse_input(load_fixture("b4_diagonal_irreducible")).form
@@ -285,13 +331,27 @@ def test_candidates_are_refuted_before_a_division_on_both_sources(monkeypatch):
     # x0 at the simple root e1 survives its point e2 but does not divide
     survivor = IntersectionForm(3, {(0, 0, 0): -1, (0, 1, 1): 1, (0, 1, 2): -2, (1, 2, 2): 1})
     assert factor_cubic(survivor).kind is FactorKind.IRREDUCIBLE
-    assert counts(survivor) == (1, 1, 1)
+    assert counts(survivor) == (1, 1, 0)
     # x0^3 + 3 x0 x1^2 + 2 x1^3 has no rational root on either anchor line
     binary = IntersectionForm(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 1, 1): 2})
     for seed in (0, 1):
-        expansions.clear()
+        polys.clear()
         assert factor_cubic(binary, seed).kind is FactorKind.IRREDUCIBLE
-        assert expansions == []
+        assert polys == []
+    # l^2 m and l^3 over x0^3, a dense L Q at rank 40, and, with no pure
+    # power (sheared on the table and on the Gram of Q), x0 x1 x2 and
+    # x0 (x1^2 - 2 x2^2): every kind
+    rng = random.Random(41)
+    l, m = lin(_x0_linear(rng, 5)), lin(_x0_linear(rng, 5))
+    forms = [form_of_cubic(l * l * m), form_of_cubic(l * l * l), plant_reducible_form(rng, 40, qmax=3, lmax=1)[0]]
+    forms += [IntersectionForm(3, {(0, 1, 2): 1}), IntersectionForm(3, {(0, 1, 1): 1, (0, 2, 2): -2}), b4]
+    polys.clear()
+    kinds = [factor_cubic(form).kind for form in forms]
+    assert polys == []
+    assert kinds == [
+        FactorKind.LINEAR_SQUARE_TIMES_LINEAR, FactorKind.LINEAR_CUBE, FactorKind.LINEAR_TIMES_QUADRIC,
+        FactorKind.THREE_LINEAR, FactorKind.LINEAR_TIMES_QUADRIC, FactorKind.IRREDUCIBLE,
+    ]
 
 
 def _x0_linear(rng, n: int, point=None) -> tuple[int, ...]:
@@ -384,27 +444,56 @@ def _random_form_poly(rng, n: int, d: int) -> Poly:
             return f
 
 
+def _sources(rng, n: int) -> list:
+    """(source, f) for each coefficient source on a random form f: a `Poly`
+    of degree 2 or 3 with fractional coefficients, a table and a Gram."""
+    d = rng.choice((2, 3))
+    f = _random_form_poly(rng, n, d)
+    form = random_form(rng, n, 3)
+    gram = [[int(x) for x in row] for row in random_gram(rng, n, 4)]
+    return [
+        (_PolyCoefficients(f, d), f),
+        (_TableCoefficients(form), expand_cubic(form)),
+        (_GramCoefficients(gram), QuadraticForm(tuple(map(tuple, gram))).to_poly()),
+    ]
+
+
 def test_coordinate_sections_vs_evaluate():
-    # the line and plane coefficients read in one pass agree with f itself
+    # the line and plane coefficients a `Poly` source reads by lookups agree
+    # with f itself; the table and the Gram read the same ones off their own
+    # entries as a `Poly` source of their form, before and after their shear
     rng = random.Random(45)
     for _ in range(40):
-        n, d = rng.randint(2, 5), rng.choice((2, 3))
-        f = _random_form_poly(rng, n, d)
+        n = rng.randint(2, 5)
+        (coeffs, f), *others = _sources(rng, n)
+        d = coeffs.d
         p, a = rng.sample(range(n), 2)
-        lines, planes = _coordinate_sections(f, p, a, d)
+        lines, planes = _coordinate_sections(coeffs, p, a)
         assert list(lines) == list(planes) == [i for i in range(n) if i not in (p, a)]
-        for i, coeffs in lines.items():
+        for i, coeffs_i in lines.items():
             for k in range(d + 1):
                 e = [0] * n
                 e[p], e[i] = d - k, k
-                assert coeffs[k] == f.coeff(tuple(e))
-        for i, coeffs in planes.items():
+                assert coeffs_i[k] == f.coeff(tuple(e))
+        for i, coeffs_i in planes.items():
             for s in (0, 1, -2, Fraction(2, 3), Fraction(-5, 4)):
                 point = [0] * n
                 point[p], point[a], point[i] = s, 1, 1
                 value = f.evaluate(point)
-                assert sum(c * frac(s) ** m for m, c in enumerate(coeffs)) == value
-                assert _vanishes_at(coeffs, frac(s)) == (value == 0)
+                assert sum(c * frac(s) ** m for m, c in enumerate(coeffs_i)) == value
+                assert _vanishes_at(coeffs_i, frac(s)) == (value == 0)
+        c = tuple(1 if i == p else rng.randint(-2, 2) for i in range(n))
+        x_p = Poly.variable(n, p)
+        for source, g in others:
+            if g.is_zero:
+                continue
+            assert source.value(c) == g.evaluate(c)
+            assert source.occupied() == _PolyCoefficients(g, source.d).occupied()
+            sheared = g.substitute([x_p if i == p else Poly.variable(n, i) + ci * x_p for i, ci in enumerate(c)])
+            for got, h in ((source, g), (source.sheared(p, c), sheared)):
+                want = _PolyCoefficients(h, source.d)
+                assert got.pivots() == want.pivots()
+                assert _coordinate_sections(got, p, a) == _coordinate_sections(want, p, a)
 
 
 def test_vanishes_at_fractional_roots():
@@ -489,6 +578,40 @@ def test_factor_quadratic_form_irreducible():
             assert factor_quadratic_form(QuadraticForm(tuple(map(tuple, gram)))) is None
     with pytest.raises(ValueError):
         factor_quadratic_form(QuadraticForm.from_diagonal([0, 0]))
+
+
+def test_gram_division_checks_every_entry():
+    # x^T g x = l m is read off row p and checked on every pair: the Gram of
+    # 2 l m divides, and a Gram one off it in any entry, the diagonal
+    # included, does not (l has two nonzero coordinates, so it divides no
+    # monomial x_i x_j)
+    rng = random.Random(55)
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        l = canonical_vector(_x0_linear(rng, n))
+        if sum(map(bool, l)) < 2:
+            continue
+        m = nonzero_vector(rng, n, 3)
+        g = [[l[i] * m[j] + l[j] * m[i] for j in range(n)] for i in range(n)]
+        c, got_l, got_m = _GramCoefficients(g).divide(l)
+        assert got_l == l and tuple(c * x for x in got_m) == tuple(2 * x for x in m)
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            off = [row[:] for row in g]
+            off[i][j] += 1
+            off[j][i] = off[i][j]
+            assert _GramCoefficients(off).divide(l) is None
+
+
+def test_rank_exceeds_two_matches_the_kernel():
+    # the early-exit rank test that sends a Gram of rank 3 or more past the
+    # split search agrees with the kernel's dimension, whatever the rank
+    rng = random.Random(54)
+    for r in (1, 2, 3, 4):
+        for _ in range(10):
+            n = rng.randint(r, 6)
+            gram = low_rank_gram(rng, n, r, 3)
+            assert _rank_exceeds_two(gram) == (r >= 3)
+            assert n - len(kernel_basis(gram)) == r
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,9 @@ def test_tangent_pass_runs_in_one_place():
 
 
 def test_cubic_is_expanded_in_one_place():
-    # `cubicfactor.factor_cubic` decides irreducibility on the intersection
-    # table and expands the cubic only when a candidate factor survives; a
-    # caller that expands first pays O(entries) on every irreducible input
+    # `cubicfactor.factor_cubic` factors on the intersection table and never
+    # expands the cubic; a caller that expands first pays for a `Poly` the
+    # factor search does not need
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
