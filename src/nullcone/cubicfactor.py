@@ -282,10 +282,9 @@ class _TableCoefficients:
         l_j b_pk or l_k b_pj is.  Each step is an exact division when l | T
         (q is integral), so an inexact one refutes l.  The keys through p
         then hold by construction, and the identity is checked on every key
-        where either side can be nonzero: each key, when that is cheaper,
-        and otherwise the table's keys and the keys {i, j, k} with
-        l_i b_jk != 0.  b is held by its nonzero entries b_jk, j <= k, until
-        the check has passed."""
+        where either side can be nonzero: the table's keys first, then the
+        keys {i, j, k} with l_i b_jk != 0.  b is held by its nonzero entries b_jk,
+        j <= k, until the check has passed."""
         n, entries, form = self.n, self.entries, self.form
         get = entries.get
         p = _pivot(l)
@@ -314,20 +313,19 @@ class _TableCoefficients:
                     return None
                 if v:
                     b[j, k] = v
-        if n * (n + 1) * (n + 2) // 6 <= len(entries) + len(support) * len(b):
-            # a dense table: every key, against b as a matrix
-            m = _symmetric(b, n)
-            for key in itertools.combinations_with_replacement(range(n), 3):
-                i, j, k = key
-                if 6 * get(key, 0) != l[i] * m[j][k] + l[j] * m[i][k] + l[k] * m[i][j]:
-                    return None
-        else:
-            bget = b.get
-            for key in set(entries).union(tuple(sorted((i, j, k))) for i in support for j, k in b):
-                i, j, k = key
-                if 6 * get(key, 0) != l[i] * bget((j, k), 0) + l[j] * bget((i, k), 0) + l[k] * bget((i, j), 0):
-                    return None
-            m = _symmetric(b, n)
+        bget = b.get
+        for (i, j, k), v in entries.items():
+            if 6 * v != l[i] * bget((j, k), 0) + l[j] * bget((i, k), 0) + l[k] * bget((i, j), 0):
+                return None
+        # a key off the table, where l b reaches, must read 0 there
+        for i in support:
+            for j, k in b:
+                key = (i, j, k) if i <= j else (j, i, k) if i <= k else (j, k, i)
+                if key not in entries:
+                    x, y, z = key
+                    if l[x] * bget((y, z), 0) + l[y] * bget((x, z), 0) + l[z] * bget((x, y), 0):
+                        return None
+        m = _symmetric(b, n)
         # the content of T, which is that of q: Gauss's lemma again
         c = math.gcd(*(v // 2 if j == k else v for (j, k), v in b.items()))
         return c, l, [[x // c for x in row] for row in m] if c > 1 else m
